@@ -29,8 +29,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..corpus import PROGRAMS
-from ..interp.relative import run_to_sync
-from ..interp.verify import compare_runs, run_program
+from ..interp.relative import verify_parallel
+from ..interp.verify import run_program
 from ..lint import lint_program
 from ..testing import faults
 
@@ -107,6 +107,7 @@ class _Pipeline:
         self.source = None          # sequential reference source
         self.program = None         # program under test (with marks)
         self.assertions = None
+        self.serial_run = None      # verify's run of self.program
 
     def stage(self, name: str, fn, needs=()) -> StageResult:
         """Run one stage with fault isolation; injected faults escalate."""
@@ -209,17 +210,15 @@ class _Pipeline:
                 or not self.record["parallel_loops"]:
             return
         o = self.opts
-        serial = run_to_sync(self.program, _inputs(self.name),
-                             adversarial=False, max_steps=o.max_steps)
-        adv = run_to_sync(self.program, _inputs(self.name),
-                          adversarial=True, workers=o.workers,
-                          schedule=o.schedule,
-                          force_reassociation=o.force_reassociation,
-                          max_steps=o.max_steps)
-        diff = compare_runs(serial, adv, rtol=o.rtol, atol=o.atol)
-        self.record["diverged"] = bool(diff)
-        if diff:
-            self.record["verify_diffs"] = diff.to_json()
+        check = verify_parallel(
+            self.program, _inputs(self.name), engine=o.engine,
+            workers=o.workers, schedule=o.schedule,
+            force_reassociation=o.force_reassociation, rtol=o.rtol,
+            atol=o.atol, max_steps=o.max_steps)
+        self.serial_run = check.serial
+        self.record["diverged"] = bool(check.diff)
+        if check.diff:
+            self.record["verify_diffs"] = check.diff.to_json()
 
     def measure(self) -> None:
         if self.record["diverged"]:
@@ -227,8 +226,11 @@ class _Pipeline:
         o = self.opts
         seq = run_program(self.source, inputs=_inputs(self.name),
                           engine=o.engine, max_steps=o.max_steps)
-        par = run_program(self.program, inputs=_inputs(self.name),
-                          engine=o.engine, max_steps=o.max_steps)
+        # verify's serial reference is this same run of the program
+        par = self.serial_run
+        if par is None:
+            par = run_program(self.program, inputs=_inputs(self.name),
+                              engine=o.engine, max_steps=o.max_steps)
         if par.clock > 0:
             self.record["virtual_speedup"] = round(
                 seq.clock / par.clock, 6)

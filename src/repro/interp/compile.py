@@ -1191,10 +1191,11 @@ def _comp_do(cx: _Cx, s: ast.DoLoop, idx: int):
         fr.lf[lidx] = 1
         t0 = rt.clock
         runner = rt._runtime
-        if runner is not None and trips > 1 and \
+        if runner is not None and \
                 runner.try_execute(fr, plan, lidx, start, step, trips):
-            # executed for real on the worker pool; the runtime has
-            # already collapsed the clock and merged worker state
+            # executed by the attached runtime (the worker pool or the
+            # adversarial emulator), which has already collapsed the
+            # clock and merged its state
             fr.lt[lidx] += rt.clock - t0
             fr.ltf[lidx] = 1
             return None

@@ -4,7 +4,8 @@
 Hood & Jost's relative debugger compares a serial and a parallel
 execution of the same program at *sync points* and localizes the first
 one where their states differ.  This module supplies both halves for
-the fleet's divergence bisector (:mod:`repro.fleet.bisect`):
+the fleet's verify stage and its divergence bisector
+(:mod:`repro.fleet.bisect`):
 
 * :class:`SyncPointInterpreter` -- the reference tree walker plus a
   monotone sync counter.  A sync point is the completion of any
@@ -36,21 +37,35 @@ the fleet's divergence bisector (:mod:`repro.fleet.bisect`):
   scalar writes, inexact REAL reductions, blocked transitive callees);
   ``force_reassociation=True`` overrides only the reduction gate to
   demonstrate what reassociating a REAL sum would do.
+
+* :class:`AdversarialRuntime` -- the same schedule for the compiled
+  engine, plugged into the hook the fork-join runtime uses
+  (``CompiledInterpreter._runtime``) and driven by the same
+  :func:`_fork_verdict`.  It cannot halt at a sync point, so it serves
+  whole-run checks: :func:`verify_parallel`, the check behind the
+  fleet's verify stage and ``PedSession.verify_parallel``.  The two
+  tree interpreters above stay as the bisector's halting engines
+  (:func:`run_to_sync`) and as the oracle the runtime is tested
+  against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..fortran import ast
+from .compile import _UNSET, CompiledInterpreter
 from .machine import Interpreter, _Jump, _norm_int, parallel_jump_fault, \
     parallel_overhead
 from .runtime import _int_typed, _red_match, _stmt_read_exprs, \
     _summarize_unit, interleaved_order
+from .verify import RunDiff, compare_runs, resolve_engine, run_program
 
 __all__ = [
     "SyncHalt", "SyncRecord", "SyncPointInterpreter",
-    "AdversarialInterpreter", "run_to_sync",
+    "AdversarialInterpreter", "AdversarialRuntime", "ParallelCheck",
+    "verify_parallel", "run_to_sync",
 ]
 
 
@@ -281,8 +296,6 @@ class AdversarialInterpreter(SyncPointInterpreter):
         self.rel_workers = max(1, int(workers))
         self.rel_schedule = schedule
         self.force_reassociation = force_reassociation
-        #: (unit, line) -> reason, for loops kept serial
-        self.serial_fallbacks: dict[tuple, str] = {}
         self._verdicts: dict = {}       # (unit, uid) -> (blocked, reds)
         self._unit_summaries: dict = {}
 
@@ -298,8 +311,6 @@ class AdversarialInterpreter(SyncPointInterpreter):
     def _exec_parallel_do(self, s, frame, start, step, trips):
         blocked, _reds = self._verdict(s, frame)
         if blocked is not None or trips <= 0 or self.rel_workers <= 1:
-            if blocked is not None:
-                self.serial_fallbacks[(frame.unit_name, s.line)] = blocked
             super()._exec_parallel_do(s, frame, start, step, trips)
             return
 
@@ -346,6 +357,135 @@ class AdversarialInterpreter(SyncPointInterpreter):
         finally:
             self.outputs = outer_outputs
             self._par_depth -= 1
+
+
+class AdversarialRuntime:
+    """:class:`AdversarialInterpreter`'s schedule on the compiled engine.
+
+    Attached as ``CompiledInterpreter._runtime``, it receives every
+    PARALLEL DO entry the compiled op offers the fork-join runtime.
+    Returning False sends the loop down the engine's serial simulation,
+    exactly where the tree emulator falls back to
+    ``Interpreter._exec_parallel_do``; otherwise it replays the tree
+    emulator's interleaving, private handling, output merge and clock
+    collapse, so the two produce the same snapshot, outputs, clock and
+    steps.
+    """
+
+    def __init__(self, workers: int = 4, schedule: str = "static",
+                 force_reassociation: bool = False):
+        self.workers = max(1, int(workers))
+        self.schedule = schedule
+        self.force_reassociation = force_reassociation
+        #: (unit, uid) -> (blocked, sorted private names)
+        self._verdicts: dict = {}
+        self._unit_summaries: dict = {}
+
+    def _verdict(self, program, lk, lidx) -> tuple:
+        key = (lk.code.name, lk.loop_uids[lidx])
+        v = self._verdicts.get(key)
+        if v is None:
+            uir = program.units[key[0]]
+            s = next(s for s, _ in ast.walk_stmts(uir.unit.body)
+                     if isinstance(s, ast.DoLoop) and s.uid == key[1])
+            blocked, _reds = _fork_verdict(
+                s, uir.symtab, program.units, self._unit_summaries,
+                self.force_reassociation)
+            v = self._verdicts[key] = (
+                blocked, sorted({p.upper() for p in s.private_vars}))
+        return v
+
+    def try_execute(self, fr, plan, lidx, start, step, trips) -> bool:
+        if trips <= 0 or self.workers <= 1:
+            return False
+        rt = fr.rt
+        blocked, privates = self._verdict(rt.program, fr.lk, lidx)
+        if blocked is not None:
+            return False
+        regs = fr.regs
+        reg_index = fr.lk.code.reg_index
+        slots = [i for i in (reg_index.get(p) for p in privates)
+                 if i is not None and regs[i] is not _UNSET]
+        saved = [regs[i] for i in slots]
+        body, vslot, term = plan.body, plan.vslot, plan.term
+        chunk_priv: dict[int, list] = {}
+        per_iter_out: list[tuple[int, list]] = []
+        outer_outputs = rt.outputs
+        t0 = rt.clock
+        max_iter = 0.0
+        try:
+            for ci, k in interleaved_order(trips, self.workers,
+                                           self.schedule):
+                env = chunk_priv.get(ci)
+                if env is None:
+                    env = chunk_priv[ci] = list(saved)
+                for i, v in zip(slots, env):
+                    regs[i] = v
+                regs[vslot] = start + k * step
+                rt.outputs = out = []
+                it_start = rt.clock
+                sig = body(fr)
+                if sig is not None and \
+                        not (type(sig) is int and sig == term):
+                    raise parallel_jump_fault(plan.line)
+                if out:
+                    per_iter_out.append((k, out))
+                max_iter = max(max_iter, rt.clock - it_start)
+                env[:] = [regs[i] for i in slots]
+        finally:
+            rt.outputs = outer_outputs
+        # join: sequential exit value for the loop variable, pre-loop
+        # values for the privates, outputs in iteration order
+        regs[vslot] = start + trips * step
+        for i, v in zip(slots, saved):
+            regs[i] = v
+        for _, items in sorted(per_iter_out, key=lambda kv: kv[0]):
+            outer_outputs.extend(items)
+        rt.clock = t0 + max_iter + parallel_overhead()
+        return True
+
+
+class ParallelCheck(NamedTuple):
+    """Both finished runs of :func:`verify_parallel` and their diff."""
+
+    serial: object
+    parallel: object
+    diff: RunDiff
+
+
+def verify_parallel(program, inputs=(), engine: str | None = None,
+                    workers: int = 4, schedule: str = "static",
+                    force_reassociation: bool = False,
+                    rtol: float = 1e-9, atol: float = 1e-8,
+                    max_steps: int = 5_000_000) -> ParallelCheck:
+    """Check a parallelization: run ``program`` serially and under the
+    adversarial schedule and diff their observable state (an empty
+    ``diff`` means the runs agree).
+
+    The serial run is a plain :func:`~repro.interp.verify.run_program`
+    on ``engine``, so a caller may reuse it as the program's run on that
+    tier.  The adversarial run is a compiled-engine run with an
+    :class:`AdversarialRuntime` attached.  On the ``tree`` engine both
+    runs are the tree emulators of :func:`run_to_sync` instead.
+    """
+    inputs = list(inputs or [])
+    if resolve_engine(engine) == "tree":
+        serial = run_to_sync(program, inputs, adversarial=False,
+                             max_steps=max_steps)
+        adv = run_to_sync(program, inputs, adversarial=True,
+                          workers=workers, schedule=schedule,
+                          force_reassociation=force_reassociation,
+                          max_steps=max_steps)
+    else:
+        serial = run_program(program, inputs=inputs, engine=engine,
+                             max_steps=max_steps)
+        adv = CompiledInterpreter(program, inputs=inputs,
+                                  max_steps=max_steps)
+        adv._runtime = AdversarialRuntime(workers, schedule,
+                                          force_reassociation)
+        adv.run()
+    return ParallelCheck(serial, adv,
+                         compare_runs(serial, adv, rtol=rtol, atol=atol))
 
 
 def run_to_sync(program, inputs, adversarial: bool,

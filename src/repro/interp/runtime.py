@@ -765,6 +765,8 @@ class ParallelRuntime:
     def try_execute(self, fr, plan, lidx, start, step, trips) -> bool:
         """Execute the loop for real; False = caller runs the serial
         simulation (the byte-identical fallback)."""
+        if trips < 2:
+            return False           # nothing to split: not a fallback
         rt = fr.rt
         if type(start) is not int or type(step) is not int:
             perf_counters.bump("par_fallbacks")

@@ -1344,14 +1344,10 @@ class PedSession:
         :class:`~repro.interp.verify.RunDiff` of observable state (empty
         means the runs agree).  The fleet's verify stage is this check,
         batched."""
-        from ..interp.relative import run_to_sync
-        from ..interp.verify import compare_runs
-        si = run_to_sync(self.program, inputs=inputs, adversarial=False,
-                         max_steps=max_steps)
-        ai = run_to_sync(self.program, inputs=inputs, adversarial=True,
-                         workers=workers, schedule=schedule,
-                         max_steps=max_steps)
-        diff = compare_runs(si, ai, rtol=rtol, atol=atol)
+        from ..interp.relative import verify_parallel
+        diff = verify_parallel(self.program, inputs, workers=workers,
+                               schedule=schedule, rtol=rtol, atol=atol,
+                               max_steps=max_steps).diff
         self._log("transformation guidance",
                   f"verify parallel: {len(diff)} difference(s) at "
                   f"{workers} workers")
