@@ -2,10 +2,14 @@
 workshop sessions over HTTP, and diff every raw response body against
 the in-process ``PedSession`` transcript.
 
-Exits non-zero on the first byte that differs.  CI runs this as the
-end-to-end gate that the service layer (routing, JSON encoding,
-snapshot eviction, the shared artifact store) adds nothing and loses
-nothing relative to a single-user editor session.
+Sessions are replayed round-robin, one op per session per round, so
+with more sessions than ``--max-live`` every op lands on a session that
+was snapshotted since its previous op and must be rehydrated.  Exits
+non-zero when any byte differs, or when eviction was forced but the
+server reports no rehydration.  CI runs this as the end-to-end gate
+that the service layer (routing, JSON encoding, snapshot eviction and
+rehydration, the shared artifact store) adds nothing and loses nothing
+relative to a single-user editor session.
 
 Usage::
 
@@ -69,12 +73,21 @@ def main() -> int:
                                           "..", "src"),
                              os.environ.get("PYTHONPATH")) if p)})
     failed = 0
+    rehydrated = True
     try:
         client = wait_for_server(args.host, args.port, proc)
         with client:
             for name in names:
                 client.open(name, program=name)
-                served = client.run_script(name, SCRIPTS[name])
+            transcripts: dict[str, list[str]] = {n: [] for n in names}
+            for i in range(max(len(SCRIPTS[n]) for n in names)):
+                for name in names:
+                    if i < len(SCRIPTS[name]):
+                        step = SCRIPTS[name][i]
+                        transcripts[name].append(client.op(
+                            name, step["op"], step.get("params"))[0])
+            for name in names:
+                served = transcripts[name]
                 oracle = oracle_transcript(name)
                 if served == oracle:
                     print(f"{name}: OK ({len(served)} ops, "
@@ -94,8 +107,11 @@ def main() -> int:
             print(f"server health: live={manager.get('live')} "
                   f"evictions={manager.get('evictions')} "
                   f"rehydrations={manager.get('rehydrations')} "
+                  f"snapshot_failures={manager.get('snapshot_failures')} "
                   f"ops={manager.get('ops_run')} "
                   f"store tiers: {sorted(store)}")
+            rehydrated = len(names) <= args.max_live \
+                or bool(manager.get("rehydrations"))
     finally:
         proc.terminate()
         try:
@@ -104,6 +120,10 @@ def main() -> int:
             proc.kill()
     if failed:
         print(f"FAILED: {failed} session(s) diverged from oracle")
+        return 1
+    if not rehydrated:
+        print("FAILED: more sessions than --max-live, yet the server "
+              "rehydrated none")
         return 1
     print(f"serve smoke passed: {len(names)} session(s) byte-identical")
     return 0

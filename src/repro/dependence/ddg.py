@@ -90,6 +90,11 @@ class LoopDependences:
     #: or ran out of budget and dependences were conservatively assumed
     degraded: list[str] = field(default_factory=list)
 
+    def __getstate__(self) -> dict:
+        # the nest belongs to its unit's loop tree, which is derived:
+        # whoever unpickles an analysis rebinds ``loop`` to a live nest
+        return {**self.__dict__, "loop": None}
+
     @property
     def is_degraded(self) -> bool:
         return bool(self.degraded)

@@ -47,6 +47,15 @@ class UnitIR:
     #: that pair is a sound validity key
     _fp_memo: tuple | None = field(default=None, repr=False)
 
+    #: derived artifacts a pickle drops; each rebuilds on next use.  The
+    #: generation and fingerprint memo travel: the memo stays valid for
+    #: exactly the pickled (generation, symbol table) pair, and it spares
+    #: a restored session re-hashing every unit on its first store probe
+    _TRANSIENT = ("_cfg", "_loops", "_compiled", "_vcompiled")
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, **dict.fromkeys(self._TRANSIENT)}
+
     @property
     def cfg(self) -> CFG:
         if self._cfg is None:
@@ -94,6 +103,10 @@ class AnalyzedProgram:
         for u, uir in zip(units, built):
             self.units[u.name] = uir
         self._callgraph: CallGraph | None = None
+
+    def __getstate__(self) -> dict:
+        # the call graph is derived; units pickle their own state
+        return {**self.__dict__, "_callgraph": None}
 
     @classmethod
     def from_source(cls, text: str,

@@ -44,6 +44,10 @@ class SourcePane:
         #: uids of the current loop's statements (highlighted ordinals)
         self.current_uids: set[int] = set()
 
+    def __getstate__(self) -> dict:
+        # the rendered line cache rebuilds from the unit on next use
+        return {**self.__dict__, "_lines": None}
+
     def invalidate(self) -> None:
         self._lines = None
 

@@ -30,7 +30,6 @@ import pickle
 from dataclasses import dataclass, field
 
 from ..analysis.arraykills import array_kills
-from ..analysis.defuse import compute_defuse
 from ..assertions import AssertionSet, derive_breaking_conditions
 from ..dependence.ddg import DependenceAnalyzer, LoopDependences, \
     degraded_loop_dependences
@@ -232,6 +231,33 @@ class PedSession:
         self.variable_pane = VariablePane()
         self.lint_pane = LintPane()
         self._linter = None   # lazy SessionLinter
+
+    # -- snapshots (repro.serve.state) ------------------------------------------
+
+    def __getstate__(self) -> dict:
+        """Every attribute except the derived caches, which rebuild
+        lazily from the artifact store.  The current loop travels by
+        uid -- its ``LoopInfo`` belongs to the unit's loop tree, which
+        is derived -- together with its analysis, whose dependences the
+        dependence pane shows and selects by id."""
+        state = {**self.__dict__, "_summaries": None, "_analyzers": {},
+                 "_deps_cache": {}, "_linter": None, "current_loop": None}
+        li = self.current_loop
+        if li is not None:
+            state["_current"] = (
+                li.uid, self._deps_cache.get((self.current_unit_name, li.uid)))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        current = state.pop("_current", None)
+        self.__dict__.update(state)
+        if current is None:
+            return
+        uid, ld = current
+        self.current_loop = self.unit.loops.by_uid.get(uid)
+        if self.current_loop is not None and ld is not None:
+            ld.loop = self.current_loop
+            self._deps_cache[(self.current_unit_name, uid)] = ld
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -492,14 +518,11 @@ class PedSession:
             try:
                 uids = tuple(
                     n.uid for n in [li.loop, *li.statements()])
-                ld.loop = None   # adopters rebind; don't pickle the nest
                 blob = pickle.dumps((uids, ld),
                                     pickle.HIGHEST_PROTOCOL)
                 get_store().put(_LOOPDEPS_NS, skey, blob)
             except Exception:
                 pass
-            finally:
-                ld.loop = li
         self._deps_cache[key] = ld
         return ld
 
@@ -829,13 +852,17 @@ class PedSession:
     def _variable_rows(self, li: LoopInfo, ld: LoopDependences
                        ) -> list[dict]:
         st = self.unit.symtab
-        du = compute_defuse(self.unit.cfg, st, self.analyzer().oracle)
+        an = self.analyzer()
+        # the analyzer's def-use has exactly these inputs (CFG, symbol
+        # table, oracle) and ignores privatization, so its memo serves
+        # every selection and classification until invalidation
+        du = an.defuse
         loop_uids = {s.uid for s in li.statements()} | {li.loop.uid}
         names: set[str] = set()
         from ..analysis.defuse import accesses
         # the loop header's bound/step variables belong in the pane too
         for s in [li.loop] + li.statements():
-            for a in accesses(s, st, self.analyzer().oracle):
+            for a in accesses(s, st, an.oracle):
                 names.add(a.name)
         rows = []
         for name in sorted(names):

@@ -11,8 +11,9 @@ package turns that workload into a service:
   in-process run;
 * :mod:`repro.serve.state` -- transparent session serialization: an
   evicted session pickles to one blob (program AST + undo/redo journal +
-  marks/classifications, with object identity preserved) and rehydrates
-  on the next request;
+  marks/classifications + panes + the current loop's analysis, with
+  object identity preserved; derived caches are dropped) and rehydrates
+  on the next request with a pickle load;
 * :mod:`repro.serve.manager` -- the session table: per-session locks so
   concurrent requests to *different* sessions proceed in parallel, LRU
   eviction to a bounded number of live sessions;

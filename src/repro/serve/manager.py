@@ -15,7 +15,10 @@ is transparently snapshotted to bytes (:func:`repro.serve.state
 .serialize`) and rehydrated on its next request.  A session whose lock
 is currently held is never chosen as the victim -- eviction skips to
 the next-least-recent idle entry rather than blocking the request that
-triggered it.
+triggered it.  A session that cannot be snapshotted (say, a pane filter
+holding a lambda) stays live and is counted in ``snapshot_failures``:
+eviction moves on to the next candidate and never fails the request
+that triggered it.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ class SessionManager:
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self.evictions = 0
         self.rehydrations = 0
+        self.snapshot_failures = 0
         self.ops_run = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -133,27 +137,32 @@ class SessionManager:
 
     def _shed(self) -> None:
         """Snapshot least-recently-used idle sessions down to the bound."""
+        failed: set[_Entry] = set()       # entries that would not pickle
         while True:
             victim: _Entry | None = None
             with self._table_lock:
-                live = [(sid, e) for sid, e in self._entries.items()
+                live = [e for e in self._entries.values()
                         if e.session is not None]
                 if len(live) <= self.max_live:
                     return
-                for sid, e in live:       # oldest first
+                for e in live:            # oldest first
                     # never block on a session mid-op; skip to the next
                     # least-recent idle candidate
-                    if e.lock.acquire(blocking=False):
+                    if e not in failed and e.lock.acquire(blocking=False):
                         victim = e
                         break
                 if victim is None:
-                    return                # everything is busy right now
+                    return                # the rest is busy or unpicklable
             try:
                 if victim.session is not None:
                     victim.blob = serialize(victim.session)
                     victim.session = None
                     with self._table_lock:
                         self.evictions += 1
+            except Exception:
+                failed.add(victim)        # stays live; try the next one
+                with self._table_lock:
+                    self.snapshot_failures += 1
             finally:
                 victim.lock.release()
 
@@ -167,8 +176,12 @@ class SessionManager:
                 "sessions": len(self._entries),
                 "live": live,
                 "snapshotted": len(self._entries) - live,
+                "snapshot_bytes": sum(len(e.blob)
+                                      for e in self._entries.values()
+                                      if e.blob is not None),
                 "max_live": self.max_live,
                 "evictions": self.evictions,
                 "rehydrations": self.rehydrations,
+                "snapshot_failures": self.snapshot_failures,
                 "ops_run": self.ops_run,
             }

@@ -1,27 +1,41 @@
 """Transparent session snapshot / rehydration for the session server.
 
 An evicted session must come back *exactly* as it left: same marks,
-same undo/redo journal, same event log, same pane selection -- a client
-cannot tell whether its session stayed resident or round-tripped
-through a snapshot.  The tests pin this as byte-identity of every op
-response across serialize -> evict -> rehydrate.
+same undo/redo journal, same event log, same panes (selection, filters,
+source arrows, lint findings) -- a client cannot tell whether its
+session stayed resident or round-tripped through a snapshot.  The tests
+pin this as byte-identity of every op response across serialize ->
+evict -> rehydrate, and of every pane's rendering.
 
-The whole session state goes through ONE pickle.  That is the load-
-bearing decision: the undo journal's :class:`UnitSnapshot` objects hold
-references to the *live* ``ProgramUnit`` and ``SymbolTable`` objects
-(restore writes captured state back onto them in place), so AST,
-symbol tables and journal must be serialized in the same pickle for
-those identities to survive.  Rehydration therefore reconstructs the
-:class:`AnalyzedProgram` *directly* from the unpickled (already
-resolved) units instead of re-running name resolution, which would
-mint fresh symbol tables the journal no longer points at.
+A snapshot is one pickle of the :class:`PedSession`, so object identity
+survives inside it: the undo journal's :class:`UnitSnapshot` objects
+restore state onto the *live* ``ProgramUnit`` and ``SymbolTable``
+objects, the source pane renders the program's own ``UnitIR``, and the
+dependence pane shares its ``Dependence`` rows with the current loop's
+analysis.  What a snapshot carries is decided by the objects that own
+the state, through ``__getstate__``:
 
-Derived analysis state (dependence caches, analyzers, interprocedural
-summaries) is deliberately NOT serialized: it is rebuilt lazily on the
-next request -- cheaply, because the artifact store (:mod:`repro.store`)
-still holds the pair-test / compile / summary artifacts keyed by the
-program's structural fingerprints, which pickling preserves along with
-every statement uid.
+* carried -- the program (AST, resolved symbol tables, each unit's
+  invalidation generation and fingerprint digest), the journal, marks,
+  classifications, assertions, event log, diagnostics, all four panes
+  and the current loop's ``LoopDependences``.  Fingerprints and the
+  current loop's analysis are cheap to pickle and costly to derive;
+* dropped -- derived caches: analyzers, interprocedural summaries, the
+  incremental linter, every other cached loop analysis, each unit's
+  CFG, loop tree and compiled code, the call graph and the source
+  pane's line cache.  Each rebuilds lazily on first use, mostly from
+  the artifact store (:mod:`repro.store`), whose keys are the carried
+  structural fingerprints.
+
+Rehydration is therefore a pickle load: nothing is re-analyzed, re-
+resolved or re-fingerprinted.  A new session attribute survives
+eviction unless its owner drops it.
+
+Ids are process-local counters.  The blob records the serializing
+process's next statement uid and dependence id, which bound every id
+in the session; :func:`rehydrate` advances this process's counters past
+them, so ids minted after a restore into a fresh process cannot collide
+with the restored ones.
 """
 
 from __future__ import annotations
@@ -29,105 +43,45 @@ from __future__ import annotations
 import io
 import itertools
 import pickle
+import threading
 
+from ..dependence import model as dep_model
 from ..fortran import ast as fast
-from ..ir.program import AnalyzedProgram, UnitIR
 from ..ped.session import PedSession
-from ..ped.panes import SourcePane
 
-#: bump when the snapshot layout changes
-SNAPSHOT_VERSION = 1
+#: bump when the snapshot layout changes; blobs of another version are
+#: refused (the session manager then re-parses the seed)
+SNAPSHOT_VERSION = 2
 
-
-def _max_uid(program_ast: fast.Program) -> int:
-    """Largest statement uid in the program (loop uids included)."""
-    top = 0
-    stack: list[fast.Stmt] = [s for u in program_ast.units
-                              for s in u.body]
-    while stack:
-        st = stack.pop()
-        if st.uid > top:
-            top = st.uid
-        for block in st.blocks():
-            stack.extend(block)
-    return top
+#: concurrent rehydrations must not lower each other's counter floors
+_FLOOR_LOCK = threading.Lock()
 
 
 def serialize(session: PedSession) -> bytes:
     """Snapshot a session into one self-contained blob."""
-    state = {
-        "version": SNAPSHOT_VERSION,
-        "ast": session.program.ast,
-        "symtabs": {name: uir.symtab
-                    for name, uir in session.program.units.items()},
-        "interprocedural": session.interprocedural,
-        "include_input_deps": session.include_input_deps,
-        "journal_limit": session.journal_limit,
-        "assertions": session.assertions,
-        "marks": session._marks,
-        "loose_marks": session._loose_marks,
-        "var_reasons": session._var_reasons,
-        "events": session.events,
-        "diagnostics": session.diagnostics,
-        "degraded": session._degraded,
-        "undo": session._undo,
-        "redo": session._redo,
-        "current_unit": session.current_unit_name,
-        "current_loop_uid": (session.current_loop.loop.uid
-                             if session.current_loop is not None
-                             else None),
-    }
     buf = io.BytesIO()
-    pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dump((SNAPSHOT_VERSION, next(fast._node_ids),
+                  dep_model.fresh_dep_id()))
+    pickler.dump(session)
     return buf.getvalue()
+
+
+def _raise_floor(module, counter: str, floor: int) -> None:
+    """Make ``module.<counter>`` mint nothing below ``floor``."""
+    with _FLOOR_LOCK:
+        nxt = next(getattr(module, counter))
+        if nxt < floor:
+            setattr(module, counter, itertools.count(floor))
 
 
 def rehydrate(blob: bytes) -> PedSession:
     """Reconstruct a session from :func:`serialize`'s blob."""
-    state = pickle.loads(blob)
-    if state.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"unsupported session snapshot version "
-            f"{state.get('version')!r}")
-
-    # The pickled units are already name-resolved and their symbol
-    # tables are the very objects the journal snapshots reference:
-    # rebuild the program container around them without re-resolving.
-    prog = AnalyzedProgram.__new__(AnalyzedProgram)
-    prog.ast = state["ast"]
-    prog.units = {u.name: UnitIR(unit=u, symtab=state["symtabs"][u.name])
-                  for u in prog.ast.units}
-    prog._callgraph = None
-
-    # Future clones (transforms) draw uids from this process's counter;
-    # advance it past every unpickled uid so a snapshot restored into a
-    # fresh process cannot mint colliding statement ids.
-    floor = _max_uid(prog.ast)
-    fast._node_ids = itertools.count(
-        max(floor + 1, next(fast._node_ids)))
-
-    s = PedSession(prog,
-                   interprocedural=state["interprocedural"],
-                   include_input_deps=state["include_input_deps"],
-                   journal_limit=state["journal_limit"])
-    s.assertions = state["assertions"]
-    s._marks = state["marks"]
-    s._loose_marks = state["loose_marks"]
-    s._var_reasons = state["var_reasons"]
-    s._degraded = state["degraded"]
-    s._undo = state["undo"]
-    s._redo = state["redo"]
-
-    # Restore the view without logging navigation events: the event log
-    # is part of the snapshot and is reinstated verbatim below.
-    s.current_unit_name = state["current_unit"]
-    s.source_pane = SourcePane(s.unit)
-    uid = state["current_loop_uid"]
-    if uid is not None:
-        for li in s.unit.loops.all_loops():
-            if li.loop.uid == uid:
-                s.select_loop(li, _log=False)
-                break
-    s.events = state["events"]
-    s.diagnostics = state["diagnostics"]
-    return s
+    unpickler = pickle.Unpickler(io.BytesIO(blob))
+    head = unpickler.load()
+    if not isinstance(head, tuple) or head[0] != SNAPSHOT_VERSION:
+        raise ValueError("unsupported session snapshot version")
+    _, uid_floor, dep_floor = head
+    _raise_floor(fast, "_node_ids", uid_floor)
+    _raise_floor(dep_model, "_dep_ids", dep_floor)
+    return unpickler.load()

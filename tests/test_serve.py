@@ -8,17 +8,29 @@ HTTP boundary.
 """
 
 import asyncio
+import itertools
 import json
+import pickle
+import sys
 import threading
 import time
+import types
 
 import pytest
 
+from repro.analysis.defuse import compute_defuse
+from repro.dependence import model as dep_model
+from repro.dependence.ddg import DependenceAnalyzer
+from repro.fortran import ast as fast
+from repro.interp import compile as interp_compile
+from repro.interproc import SummaryBuilder
+from repro.ped.filters import DependenceFilter, VariableFilter
 from repro.ped.scripts import program_source
 from repro.ped.session import PedSession
 from repro.serve import (PedClient, PedServer, SCRIPTS, SessionManager,
                          canonical_json, oracle_transcript, rehydrate,
                          run_op, run_script, serialize)
+from repro.serve import state as serve_state
 from repro.store import ArtifactStore, scoped_store
 
 SMALL = ("neoss", "nxsns", "slalom")
@@ -131,6 +143,127 @@ class TestSnapshotRoundTrip:
         assert twin._marks == s._marks
         assert twin._var_reasons == s._var_reasons
 
+    @staticmethod
+    def _panes(s: PedSession) -> list[str]:
+        return [s.source_pane.render(), s.dependence_pane.render(),
+                s.variable_pane.render(), s.lint_pane.render()]
+
+    def test_panes_survive(self):
+        """Selections, filters, source arrows and lint findings are
+        session state: every pane renders the same after a round trip."""
+        s = PedSession(program_source("nxsns"))
+        run_script(s, SCRIPTS["nxsns"][:2])   # selects OVERLAP/IT
+        dep = s.dependences()[0]
+        s.select_dependence(dep)
+        s.set_dependence_filter(DependenceFilter(
+            var=dep.var, carried=True, description="carried on OVL"))
+        s.variable_pane.select("MAP")
+        s.lint()
+        before = self._panes(s)
+        assert "=>" in before[0]                    # source arrows
+        assert before[1].splitlines()[1].startswith(">")
+        assert len(before[1].splitlines()) < len(s.dependences()) + 1
+        assert any(row.startswith(">MAP") for row in before[2].splitlines())
+        twin = rehydrate(serialize(s))
+        assert self._panes(twin) == before
+        assert twin.render() == s.render()
+
+    @pytest.mark.parametrize("name", SCRIPTS)
+    def test_rehydrate_rederives_nothing(self, name, oracles,
+                                         monkeypatch):
+        """Rehydration is a pickle load: def-use, loop analysis,
+        interprocedural summaries and fingerprints all travel in (or
+        rebuild lazily after) the snapshot, and the script still ends
+        exactly as the oracle's."""
+        script = SCRIPTS[name]
+        half = len(script) // 2
+        s = PedSession(program_source(name))
+        head = run_script(s, script[:half])
+        blob = serialize(s)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("re-derived during rehydrate")
+
+        with monkeypatch.context() as mp:
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("repro.") \
+                        and getattr(mod, "compute_defuse", None) \
+                        is compute_defuse:
+                    mp.setattr(mod, "compute_defuse", forbidden)
+            mp.setattr(DependenceAnalyzer, "analyze_loop", forbidden)
+            mp.setattr(SummaryBuilder, "build", forbidden)
+            mp.setattr(SummaryBuilder, "propagate_common_symbols",
+                       forbidden)
+            mp.setattr(interp_compile, "fingerprint_unit", forbidden)
+            s2 = rehydrate(blob)
+        # the fingerprint memos travel, so the first store probe after
+        # the restore does not re-hash the program either
+        assert [(u.generation, u._fp_memo)
+                for u in s2.program.units.values()] \
+            == [(u.generation, u._fp_memo)
+                for u in s.program.units.values()]
+        tail = run_script(s2, script[half:])
+        assert head + tail == oracles[name]
+
+    def test_id_counters_floored_in_fresh_process(self, monkeypatch):
+        """Blobs carry statement uids and dependence ids; a restore into
+        a process whose counters start over must not mint them again."""
+        monkeypatch.setattr(dep_model, "_dep_ids", itertools.count(1))
+        with scoped_store(ArtifactStore(from_env=False)):
+            s = PedSession(program_source("slalom"))
+            s.select_unit("RESID")
+            s.select_loop(s.loops()[0])
+            blob = serialize(s)
+            # a fresh process: both counters start over
+            monkeypatch.setattr(dep_model, "_dep_ids", itertools.count(1))
+            monkeypatch.setattr(fast, "_node_ids", itertools.count(1))
+            twin = rehydrate(blob)
+            restored = {d.id for d in twin.dependence_pane.dependences}
+            assert restored
+            twin.select_unit("FACTOR")
+            twin.select_loop(twin.loops()[0])
+            minted = {d.id for d in twin.dependence_pane.dependences}
+            assert minted and not minted & restored
+            top = max(st.uid for u in twin.program.ast.units
+                      for st, _ in fast.walk_stmts(u.body))
+            assert next(fast._node_ids) > top
+
+    def test_id_floors_only_rise_under_concurrency(self):
+        """Concurrent rehydrations raise a counter under one lock, so a
+        lower floor never replaces a higher one."""
+        class SlowCount:
+            # yields the interpreter lock between reading the counter
+            # and replacing it: the window a lost update needs
+            def __init__(self):
+                self.n = 1
+
+            def __next__(self):
+                time.sleep(0.01)
+                self.n += 1
+                return self.n - 1
+
+        ids = types.SimpleNamespace(counter=SlowCount())
+        floors = [1000 - 7 * i for i in range(16)]
+        start = threading.Barrier(len(floors))
+
+        def restore(floor: int) -> None:
+            start.wait(timeout=30)
+            serve_state._raise_floor(ids, "counter", floor)
+
+        threads = [threading.Thread(target=restore, args=(f,))
+                   for f in floors]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert next(ids.counter) >= max(floors)
+
 
 # ---------------------------------------------------------------------------
 # The session manager
@@ -170,6 +303,42 @@ class TestSessionManager:
         assert stats["evictions"] > 0
         assert stats["rehydrations"] > 0
         assert stats["live"] <= 1
+
+    def test_unpicklable_session_stays_live(self, oracles):
+        """A session whose snapshot fails (a pane filter holding a
+        lambda) stays live; eviction moves on to the next idle session
+        and the request that triggered it still gets its response."""
+        m = SessionManager(max_live=1)
+        m.open("a", program_source("neoss"))
+        m.open("b", program_source("slalom"))      # snapshots a
+        m.run("a", "units")                        # a live, b snapshotted
+        m._entries["a"].session.set_variable_filter(
+            VariableFilter.shared_arrays())        # lambda predicate
+        served = [canonical_json(m.run("b", step["op"],
+                                       step.get("params") or {}))
+                  for step in SCRIPTS["slalom"]]
+        assert served == oracles["slalom"]
+        stats = m.stats()
+        assert stats["snapshot_failures"] > 0
+        assert m._entries["a"].session is not None
+        assert stats["snapshot_bytes"] > 0         # b went to a blob
+
+    def test_stale_seed_blob_reparsed(self, oracles):
+        """A seed blob in an older snapshot layout (a disk tier written
+        before an upgrade) is refused, and the tenant parses afresh."""
+        src = program_source("neoss")
+        stale = pickle.dumps({"version": 1}, pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(ValueError):
+            rehydrate(stale)
+        store = ArtifactStore(from_env=False)
+        store.put("seed", (src, True), stale)
+        with scoped_store(store):
+            m = SessionManager(max_live=2)
+            m.open("a", src)
+            served = [canonical_json(m.run("a", step["op"],
+                                           step.get("params") or {}))
+                      for step in SCRIPTS["neoss"]]
+        assert served == oracles["neoss"]
 
     def test_close(self):
         m = SessionManager(max_live=2)
