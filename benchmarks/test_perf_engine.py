@@ -14,6 +14,7 @@ from repro.fortran import parse_program, print_program
 from repro.interp import run_program
 from repro.interproc import InterproceduralOracle, SummaryBuilder
 from repro.ir import AnalyzedProgram
+from repro.store import ArtifactStore, scoped_store
 
 SRC = PROGRAMS["arc3d"].source
 
@@ -38,7 +39,9 @@ def test_bench_summaries(benchmark):
     program = AnalyzedProgram.from_source(SRC)
 
     def build():
-        return SummaryBuilder(program).build()
+        # a fresh store per round: time summarizing, not store hits
+        with scoped_store(ArtifactStore(from_env=False)):
+            return SummaryBuilder(program).build()
 
     summ = benchmark(build)
     assert "FILTER" in summ

@@ -168,8 +168,10 @@ class LinkedUnit:
 # Structural fingerprints + the two-level compile cache
 # --------------------------------------------------------------------------
 
-#: statement fields that do not affect compiled execution
-_FP_SKIP = frozenset({"uid", "private_vars"})
+#: statement fields outside structural identity: uids and the loop
+#: marks, which no summary or dependence test reads; store users that
+#: read marks key them separately (linked_unit, lint, worlds, loopdeps)
+_FP_SKIP = frozenset({"uid", "parallel", "private_vars"})
 
 
 def _fp_val(v):
@@ -202,9 +204,9 @@ def _fp_symtab(st) -> tuple:
 def fingerprint_unit(unit: ast.ProgramUnit, st) -> tuple:
     """Uid-free structural identity of a unit (AST + symbol state).
 
-    Two units with equal fingerprints execute identically, so they can
-    share one :class:`UnitCode`; ``line`` numbers are included because
-    fault messages bake them in.
+    Two units with equal fingerprints and equal loop marks execute
+    identically, so they can share one :class:`UnitCode`; ``line``
+    numbers are included because fault messages bake them in.
     """
     return (unit.kind, unit.name, unit.params, unit.result_type,
             tuple(_fp_stmt(s) for s in unit.body), _fp_symtab(st))
@@ -247,7 +249,8 @@ def unit_fingerprint(uir) -> str:
 def program_fingerprint(program) -> tuple:
     """Uid-free structural identity of a whole analyzed program: the
     sorted per-unit fingerprints.  Two sessions editing structurally
-    identical programs share one interprocedural-summary artifact."""
+    identical programs share loop analyses, lint results and raced
+    explorations keyed on it."""
     return tuple(unit_fingerprint(u)
                  for u in sorted(program.units.values(),
                                  key=lambda u: u.unit.name))
@@ -282,27 +285,31 @@ def linked_unit(uir, vector: bool = False) -> LinkedUnit:
     shares the same two cache levels (a separate per-UnitIR slot and a
     tagged LRU key), so transform -> verify re-lowers only mutated units
     in that tier too.
+
+    Compiled code runs PARALLEL DO loops as such, so the LRU key adds
+    the unit's DO-loop PARALLEL flags to the fingerprint, which skips
+    them.
     """
     cached = uir._vcompiled if vector else uir._compiled
     if cached is not None and cached[0] == uir.generation:
         _STATS["hits"] += 1
         perf_counters.bump("compile_hits")
         return cached[1]
-    fp = unit_fingerprint(uir)
+    walk = list(ast.walk_stmts(uir.unit.body))
+    loops = [s for s, _ in walk if isinstance(s, ast.DoLoop)]
+    key = (unit_fingerprint(uir), tuple(s.parallel for s in loops))
     if vector:
-        fp = ("vector", fp)
+        key = ("vector", *key)
     store = get_store()
-    code = store.get(_COMPILE_NS, fp)
+    code = store.get(_COMPILE_NS, key)
     if code is not MISS:
         _STATS["relinks"] += 1
         perf_counters.bump("compile_relinks")
     else:
         code = _compile_unit(uir.unit, uir.symtab, vector=vector)
-        store.put(_COMPILE_NS, fp, code, disk=False)
+        store.put(_COMPILE_NS, key, code, disk=False)
         _STATS["misses"] += 1
         perf_counters.bump("compile_misses")
-    walk = list(ast.walk_stmts(uir.unit.body))
-    loops = [s for s, _ in walk if isinstance(s, ast.DoLoop)]
     lk = LinkedUnit(code, uir.symtab,
                     [s.uid for s, _ in walk],
                     [s.uid for s in loops],

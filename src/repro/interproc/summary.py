@@ -19,15 +19,24 @@ boundary (their effects are invisible to callers).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from ..analysis.defuse import SideEffectOracle, accesses
 from ..analysis.linear import LinearExpr, linearize
 from ..fortran import ast
+from ..interp.compile import unit_fingerprint
 from ..ir.callgraph import CallGraph
 from ..ir.cfg import ENTRY, EXIT, build_cfg
 from ..ir.program import AnalyzedProgram
 from ..ir.symtab import SymbolTable
+from ..perf import counters as perf_counters
+from ..store import MISS, declare as _declare_ns, get_store
+
+#: per-unit summaries keyed by :meth:`SummaryBuilder._key`; summaries
+#: are uid-free and picklable, so the disk tier applies
+_SUMMARY_NS = "summary"
+_declare_ns(_SUMMARY_NS, mem_entries=128, disk=True)
 
 
 @dataclass(frozen=True)
@@ -184,24 +193,38 @@ def _subscript_section(e: ast.Expr,
 class SummaryBuilder:
     """Computes :class:`ProcSummary` for every unit, bottom-up.
 
-    ``reuse`` supplies still-valid summaries from a previous build (the
-    scoped-invalidation path: a transformation dirtied one unit, so only
-    that unit and its transitive callers need re-summarizing; everything
-    else is carried over untouched).
+    A unit's summary reads the unit (AST and symbol table after COMMON
+    propagation) and the summaries of callees summarized before it, so
+    it is stored under a digest of the unit's fingerprint and those
+    callees' keys: every session, lint pass and detector shares it, and
+    a change to a unit re-keys only it and its transitive callers.
     """
 
-    def __init__(self, program: AnalyzedProgram,
-                 reuse: dict[str, ProcSummary] | None = None):
+    def __init__(self, program: AnalyzedProgram):
         self.program = program
         self.callgraph: CallGraph = program.callgraph
-        self.reuse = dict(reuse or {})
         self.summaries: dict[str, ProcSummary] = {}
+        self.keys: dict[str, str] = {}
+
+    def _key(self, name: str) -> str:
+        h = hashlib.sha256(
+            unit_fingerprint(self.program.units[name]).encode())
+        for callee in sorted(self.callgraph.callees(name)):
+            if callee in self.keys:
+                h.update(f"|{callee}={self.keys[callee]}".encode())
+        return h.hexdigest()
 
     def _summary_for(self, name: str) -> ProcSummary:
-        kept = self.reuse.get(name)
-        if kept is not None:
-            return kept
-        return self._summarize(name)
+        key = self.keys[name] = self._key(name)
+        store = get_store()
+        summ = store.get(_SUMMARY_NS, key)
+        if summ is not MISS:
+            perf_counters.bump("summaries_retained")
+            return summ
+        perf_counters.bump("summaries_rebuilt")
+        summ = self._summarize(name)
+        store.put(_SUMMARY_NS, key, summ)
+        return summ
 
     def build(self) -> dict[str, ProcSummary]:
         self.propagate_common_symbols()
@@ -222,17 +245,17 @@ class SummaryBuilder:
         with callees that do; dependence and kill analysis in the caller
         must know those names (and whether they are arrays).  Symbols are
         copied (type, dims, block) into the symtabs of all transitive
-        callers, to a fixpoint over the call graph.  Idempotent, and
-        called explicitly by sessions that adopt a *shared* summary dict
-        from the artifact store: the symtab enrichment is a program-side
-        effect a cache hit must not skip.
+        callers, to a fixpoint over the call graph.  Idempotent; every
+        :meth:`build` runs it, store hits included, because the symtab
+        enrichment is a program-side effect a hit must not skip.  The
+        fixpoint is uncapped: sites are visited caller-first, so a call
+        chain of depth D needs D - 1 rounds, and a round only adds
+        symbols, so it terminates.
         """
         from ..ir.symtab import Symbol
         changed = True
-        rounds = 0
-        while changed and rounds < 20:
+        while changed:
             changed = False
-            rounds += 1
             for cs in self.callgraph.sites:
                 if cs.caller not in self.program.units \
                         or cs.callee not in self.program.units:

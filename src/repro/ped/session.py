@@ -52,11 +52,6 @@ from ..transform.transaction import ProgramSnapshot
 from .filters import DependenceFilter, SourceFilter, VariableFilter
 from .panes import DependencePane, LintPane, SourcePane, VariablePane
 
-#: interprocedural summary dicts keyed by whole-program fingerprint;
-#: summaries are uid-free and picklable, so the disk tier applies
-_SUMMARY_NS = "summary"
-_declare_ns(_SUMMARY_NS, mem_entries=128, disk=True)
-
 #: full per-loop dependence analyses as pickle bytes.  Keys are
 #: uid-free (program fingerprint + loop ordinal + analysis inputs);
 #: the artifact records the nest's statement uids at store time so
@@ -273,21 +268,9 @@ class PedSession:
             from ..analysis.defuse import SideEffectOracle
             return SideEffectOracle()
         if self._summaries is None:
-            # Interprocedural summaries are uid-free, so structurally
-            # identical programs -- every session opened on the same
-            # corpus member -- share one summary artifact through the
-            # tiered store.
-            fp = ("summaries", program_fingerprint(self.program))
-            shared = get_store().get(_SUMMARY_NS, fp)
-            if shared is not MISS:
-                # A build's symtab enrichment (COMMON propagation) is a
-                # side effect on *this* program the shared dict cannot
-                # carry; replay it before adopting the summaries.
-                SummaryBuilder(self.program).propagate_common_symbols()
-                self._summaries = dict(shared)
-            else:
-                self._summaries = SummaryBuilder(self.program).build()
-                get_store().put(_SUMMARY_NS, fp, dict(self._summaries))
+            # per-unit store hits: only units whose structure (or a
+            # callee's) changed are summarized again
+            self._summaries = SummaryBuilder(self.program).build()
         return InterproceduralOracle(self._summaries)
 
     def analyzer(self, unit_name: str | None = None) -> DependenceAnalyzer:
@@ -313,8 +296,9 @@ class PedSession:
         :class:`DirtyScope` the eviction is surgical: only the dirty
         unit's artifacts, the cached loop dependences whose loop chain
         intersects the dirty loop set, and -- transitively up the call
-        graph -- the summaries and analyzers of units whose
-        interprocedural view of the dirty unit may have changed.
+        graph -- the analyzers of units whose interprocedural view of
+        the dirty unit may have changed.  Summaries are re-keyed up the
+        call graph through the store on the next :meth:`_oracle`.
         """
         if scope is None:
             perf_counters.bump("invalidations")
@@ -342,7 +326,7 @@ class PedSession:
                 if caller not in dirty_units:
                     dirty_units.add(caller)
                     frontier.append(caller)
-        self._refresh_summaries(dirty_units)
+        self._summaries = None
         for name in dirty_units:
             if self._analyzers.pop(name, None) is not None:
                 perf_counters.bump("analyzers_evicted")
@@ -361,30 +345,6 @@ class PedSession:
             del self._deps_cache[key]
         perf_counters.bump("deps_evicted", len(evict))
         perf_counters.bump("deps_retained", len(self._deps_cache))
-
-    def _refresh_summaries(self, dirty_units: set[str]) -> None:
-        """Rebuild interprocedural summaries for the dirty units only,
-        reusing every untouched unit's summary object as-is."""
-        if self._summaries is None:
-            return
-        fp = ("summaries", program_fingerprint(self.program))
-        shared = get_store().get(_SUMMARY_NS, fp)
-        if shared is not MISS:
-            # Another session already summarized this exact program
-            # state (e.g. the same transform applied by an earlier
-            # tenant).  Adopt, replaying the symtab side effect just
-            # like the cold path in :meth:`_oracle`.
-            SummaryBuilder(self.program).propagate_common_symbols()
-            self._summaries = dict(shared)
-            return
-        retained = {name: s for name, s in self._summaries.items()
-                    if name not in dirty_units}
-        perf_counters.bump("summaries_retained", len(retained))
-        perf_counters.bump(
-            "summaries_rebuilt", len(self._summaries) - len(retained))
-        self._summaries = SummaryBuilder(
-            self.program, reuse=retained).build()
-        get_store().put(_SUMMARY_NS, fp, dict(self._summaries))
 
     def _rebind_panes(self) -> None:
         self.source_pane = SourcePane(self.unit)
@@ -443,10 +403,11 @@ class PedSession:
 
         Uid-free: the program fingerprint pins structure, the loop's
         source-order ordinal pins which loop, and every analysis input
-        that is *not* AST structure appears explicitly -- privatization
-        state is excluded from structural fingerprints (``interp
-        .compile._FP_SKIP``) yet feeds the analysis, and assertions
-        change what the dependence tests can prove.  Privatization is
+        that is *not* AST structure appears explicitly -- structural
+        fingerprints exclude all loop marks (``interp.compile
+        ._FP_SKIP``), and of those the private variables feed the
+        analysis while PARALLEL flags do not; assertions change what
+        the dependence tests can prove.  Privatization is
         recorded by statement *position* within the nest, matching the
         positional uid remap :meth:`_loop_deps` performs on adoption.
         """

@@ -318,6 +318,26 @@ class TestCompileCache:
         h1, _, m1 = _stats()
         assert m1 == m0 and h1 == h0 + 2
 
+    def test_parallel_marks_keep_compiled_code_apart(self):
+        """Structural fingerprints skip PARALLEL flags; the compile key
+        adds them back, so two sessions that differ only in loop marks
+        never run each other's code on either compiled tier."""
+        from repro.store import ArtifactStore, scoped_store
+        with scoped_store(ArtifactStore(from_env=False)):
+            plain = PedSession(TWO_UNITS)
+            marked = PedSession(TWO_UNITS)
+            assert marked.apply("parallelize", loop="L1").applied
+            clocks = []
+            for s in (plain, marked):
+                tree = Interpreter(s.program)
+                tree.run()
+                for engine_cls in (CompiledInterpreter, VectorInterpreter):
+                    run = engine_cls(s.program)
+                    run.run()
+                    _assert_identical_observables(tree, run)
+                clocks.append(tree.clock)
+        assert clocks[0] != clocks[1]
+
     def test_cache_info_in_session_health(self):
         session = PedSession(TWO_UNITS)
         session.profile()

@@ -94,6 +94,55 @@ class TestScopedInvalidation:
         assert snap["deps_retained"] >= 2
 
 
+def _marks_cycle(s: PedSession, unit: str, loop: str, forbid=None) -> list:
+    """Select a loop, then (with ``forbid`` patching whatever must not
+    run) parallelize it, re-select, check health, lint, undo and take a
+    snapshot; every observable result, in order."""
+    from repro.serve.state import rehydrate, serialize
+    s.select_unit(unit)
+    s.select_loop(loop)
+    if forbid is not None:
+        forbid()
+    res = s.apply("parallelize", loop=loop)
+    out = [(res.applied, s.source())]
+    s.select_loop(loop)
+    out.append(s.dependence_pane.render())
+    h = s.health()
+    out.append((h.degraded_loops, h.failed_units, h.transform_failures,
+                h.lint))
+    out.append(s.lint())
+    out.append((s.undo(), s.source()))
+    out.append(rehydrate(serialize(s)).render())
+    return out
+
+
+class TestSummaryReuse:
+    """Loop marks are outside every summary key, and lint shares the
+    session's summaries through the store: after the first selection
+    nothing re-summarizes a unit."""
+
+    @pytest.mark.parametrize("name,unit,loop", [
+        ("nxsns", "RELAX", "L2"), ("dpmin", "BONDS", "L1")])
+    def test_marks_and_lint_never_resummarize(self, name, unit, loop,
+                                              monkeypatch):
+        from repro.interproc.summary import SummaryBuilder
+        from repro.store import ArtifactStore, scoped_store
+
+        def forbidden(self, unit_name):
+            raise AssertionError(f"re-summarized {unit_name}")
+
+        def forbid():
+            monkeypatch.setattr(SummaryBuilder, "_summarize", forbidden)
+
+        src = PROGRAMS[name].source
+        with scoped_store(ArtifactStore(from_env=False)):
+            expected = _marks_cycle(PedSession(src), unit, loop)
+        with scoped_store(ArtifactStore(from_env=False)):
+            got = _marks_cycle(PedSession(src), unit, loop, forbid)
+        assert expected[0][0]                       # parallelize applied
+        assert got == expected
+
+
 class TestPairMemo:
     def test_second_analysis_pass_hits(self):
         dep_tests.clear_pair_cache()

@@ -224,3 +224,76 @@ class TestCompose:
                "      A(11) = 1.0\n      A(0) = 2.0\n      END\n")
         diags = check_array_bounds(AnalyzedProgram.from_source(src))
         assert len([d for d in diags if d.kind == "bounds"]) == 2
+
+
+def _chain(depth: int) -> str:
+    """MAIN's loop calls S1, which reaches S<depth> (the only writer of
+    /B/ X) through a chain of calls, then reads X."""
+    lines = ["      PROGRAM MAIN", "      REAL Y(100)", "      COMMON /B/ X",
+             "      DO 10 I = 1, 100", "         CALL S1",
+             "         Y(I) = X", "   10 CONTINUE", "      END"]
+    for k in range(1, depth):
+        lines += [f"      SUBROUTINE S{k}", f"      CALL S{k + 1}",
+                  "      END"]
+    lines += [f"      SUBROUTINE S{depth}", "      COMMON /B/ X",
+              "      X = X + 1.0", "      END"]
+    return "\n".join(lines) + "\n"
+
+
+class TestCommonPropagation:
+    def test_deep_call_chain_reaches_the_top(self):
+        # sites are visited caller-first: depth 25 needs 24 rounds
+        program, summ = summaries(_chain(25))
+        assert "X" in summ["S1"].mod
+        assert program.units["S1"].symtab.get("X").common_block == "B"
+
+    def test_deep_call_chain_blocks_parallelize(self):
+        from repro.ped import PedSession
+        s = PedSession(_chain(25))
+        assert not s.advice("parallelize", loop=s.loops()[0]).ok
+
+
+class TestSummaryStoreKeys:
+    """Summaries are shared per unit through the artifact store, keyed
+    on the unit's structure and its callees' keys."""
+
+    CALLER = ("      SUBROUTINE T(Z)\n      REAL Z\n      CALL S(Z)\n"
+              "      END\n")
+    WRITES = CALLER + ("      SUBROUTINE S(A)\n      REAL A\n"
+                       "      A = 1.0\n      END\n")
+    READS = CALLER + ("      SUBROUTINE S(A)\n      REAL A, B\n"
+                      "      B = A\n      END\n")
+
+    def _build(self, src, store):
+        from repro.store import scoped_store
+        with scoped_store(store):
+            return summaries(src)[1]
+
+    def test_callee_change_rekeys_the_caller(self):
+        from repro.store import ArtifactStore
+        shared = ArtifactStore(from_env=False)
+        a = self._build(self.WRITES, shared)
+        assert a["T"].mod == {"Z"}
+        b = self._build(self.READS, shared)
+        fresh = self._build(self.READS, ArtifactStore(from_env=False))
+        assert b["T"] == fresh["T"]
+        assert b["T"].mod == set() and b["T"].ref == {"Z"}
+
+    def test_identical_units_shared_across_programs(self, monkeypatch):
+        from repro.corpus.synth import generate
+        from repro.interproc import summary
+        from repro.store import ArtifactStore
+        summarized = []
+        real = summary.SummaryBuilder._summarize
+
+        def counting(self, name):
+            summarized.append(name)
+            return real(self, name)
+
+        monkeypatch.setattr(summary.SummaryBuilder, "_summarize", counting)
+        store = ArtifactStore(from_env=False)
+        self._build(generate(1993, 3).source, store)
+        assert sorted(summarized) == ["GALERY", "GHELP", "MAIN"]
+        del summarized[:]
+        self._build(generate(1993, 10).source, store)
+        assert summarized == ["MAIN"]
