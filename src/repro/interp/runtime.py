@@ -1,25 +1,36 @@
-"""Real fork-join DOALL runtime for compiled ``PARALLEL DO`` loops.
+"""Fork-join DOALL runtime for compiled ``PARALLEL DO`` loops.
 
 The serial engines *simulate* a ``PARALLEL DO``: they run every
 iteration on one thread and then collapse the virtual clock to
-``max(iteration) + overhead``.  This module executes eligible loops for
-real on a persistent worker pool (threads by default, processes with
-``REPRO_EXEC_POOL=process``) while keeping the simulated engines as the
-differential oracle: for any worker count and either schedule the run
-must produce **byte-identical** ``snapshot()`` observables, step counts,
-virtual clocks, and profiles.
+``max(iteration) + overhead``.  This module executes eligible loops
+through real fork-join machinery -- chunked iteration space, per-chunk
+register files, reductions and a join -- while keeping the simulated
+engines as the differential oracle: for any worker count and either
+schedule the run must produce **byte-identical** ``snapshot()``
+observables, step counts, virtual clocks, and profiles.
 
-How byte-identity survives real parallelism:
+Chunks run on the calling thread, in chunk order.  CPython's GIL never
+lets two interpreter-bound chunks run at once, so a thread pool would
+only add dispatch cost -- and let chunks interleave on arrays they all
+write.  ``REPRO_EXEC_POOL=process`` runs the chunks of a loop entry
+concurrently in a spawn-based process pool instead.
+
+How byte-identity survives the fork-join machinery:
 
 * **exact virtual clock** -- every statement cost is a dyadic rational
   (multiples of 1/8, see ``machine.COST_TERM``) far below 2**49, so
   float accumulation is exact and per-iteration clock deltas do not
-  depend on the clock base a worker starts from; summed partials equal
+  depend on the clock base a chunk starts from; summed partials equal
   the serial fold bit-for-bit under any chunk partition;
 * **privatization** -- per-chunk register files; privatized scalars and
   inner DO variables start as *unset* in every chunk and the last chunk
   that wrote one wins at the join (chunks partition the iteration space
   in order, so this is the serial last-write);
+* **arrays** -- chunks share the run's array storage; in chunk order
+  every store lands in serial order, so even a PRIVATE array, which
+  every iteration writes at the same indices, ends with the serial last
+  write.  Pool processes run chunks concurrently, so under the process
+  pool a loop whose PRIVATE list names an array is ineligible;
 * **reductions** -- only *exactly associative* recurrences run in
   parallel: INTEGER ``+``/``-``/``*`` with statically integer-typed
   operands (per-chunk partials from the identity, combined in chunk
@@ -34,16 +45,16 @@ How byte-identity survives real parallelism:
   counter records the fallback.
 
 Scheduling is chunked: ``static`` deals ``workers`` near-equal
-contiguous chunks; ``dynamic`` deals smaller contiguous chunks that idle
-workers claim.  Chunk boundaries never affect results (see above), only
-load balance.  The pool itself is process-wide and reused across runs
+contiguous chunks; ``dynamic`` deals smaller contiguous chunks.  Chunk
+boundaries never affect results (see above), only the per-chunk fixed
+cost and the process pool's load balance.  The process pool is
+process-wide and reused across runs
 (:func:`repro.perf.pool.shared_executor`).
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 
 import numpy as np
@@ -72,8 +83,8 @@ _UNSET_TOKEN = "\x00__REPRO_UNSET__\x00"
 
 def resolve_workers(workers: int | None = None) -> int | None:
     """Worker count: explicit argument > ``REPRO_EXEC_WORKERS`` > None
-    (None = keep the serial simulation; 1 = run the fork-join runtime
-    inline, exercising the chunk/merge machinery without a pool)."""
+    (None = keep the serial simulation; N = run the fork-join runtime,
+    chunking each loop entry for N workers)."""
     if workers is not None:
         w = int(workers)
         if w < 1:
@@ -103,10 +114,11 @@ def resolve_schedule(schedule: str | None = None) -> str:
 def resolve_pool_kind(kind: str | None = None) -> str:
     """Pool kind: explicit > ``REPRO_EXEC_POOL`` > thread.
 
-    Threads are the default because loop bodies are storage-bound
-    (ArrayStorage/numpy writes release no state to re-shard) and shared
-    storage preserves the serial memory model exactly; the process pool
-    ships arrays through ``multiprocessing.shared_memory``.
+    ``thread`` runs every chunk on the calling thread, in chunk order:
+    storage is shared and stores land in serial order, so the serial
+    memory model holds exactly.  ``process`` runs the chunks
+    concurrently in a spawn-based pool that ships arrays through
+    ``multiprocessing.shared_memory``.
     """
     k = kind or os.environ.get("REPRO_EXEC_POOL") or "thread"
     k = k.lower()
@@ -121,8 +133,8 @@ def chunk_ranges(trips: int, workers: int, schedule: str) -> list:
 
     Static: ``min(workers, trips)`` near-equal chunks.  Dynamic: smaller
     chunks (about ``_DYNAMIC_CHUNKS_PER_WORKER`` per worker) that idle
-    workers claim.  Correctness never depends on the partition; the
-    index orders the join merge back into iteration order.
+    pool processes pick up.  Correctness never depends on the partition;
+    the index orders the join merge back into iteration order.
     """
     if trips <= 0:
         return []
@@ -505,19 +517,24 @@ def _summarize_unit(uir) -> _UnitSummary:
 
 
 # --------------------------------------------------------------------------
-# Worker-side minimal interpreter state (clone of CompiledInterpreter's
+# Chunk-side minimal interpreter state (clone of CompiledInterpreter's
 # runtime surface; the compiled closures only touch these attributes)
 # --------------------------------------------------------------------------
 
 class _WorkerRT:
+    """The interpreter a chunk runs against: its own clock, step count
+    and outputs (the join folds them in chunk order) over the given
+    COMMON storage, linker (``name -> LinkedUnit | None``) and profile
+    accumulators."""
+
     __slots__ = ("program", "inputs", "_input_pos", "outputs",
                  "max_steps", "steps", "clock", "check_assertions",
                  "assertion_checker", "_globals", "_global_arrays",
-                 "_lk", "_prof", "_unit_time", "_unit_calls", "_runtime",
-                 "_par_stats")
+                 "_linked", "_prof", "_unit_time", "_unit_calls",
+                 "_runtime", "_par_stats")
 
     def __init__(self, program, globals_, global_arrays, max_steps,
-                 lk_map):
+                 linked, prof, unit_time, unit_calls):
         self.program = program
         self.inputs = []
         self._input_pos = 0
@@ -529,15 +546,12 @@ class _WorkerRT:
         self.assertion_checker = None
         self._globals = globals_
         self._global_arrays = global_arrays
-        self._lk = lk_map
-        self._prof = {}
-        self._unit_time = {}
-        self._unit_calls = {}
+        self._linked = linked
+        self._prof = prof
+        self._unit_time = unit_time
+        self._unit_calls = unit_calls
         self._runtime = None          # nested PARALLEL DO simulates
         self._par_stats = {}
-
-    def _linked(self, name):
-        return self._lk.get(name)
 
 
 class _ChunkRec:
@@ -556,23 +570,6 @@ class _ChunkRec:
         self.partials = partials
         self.finals = finals
         self.fault = fault
-
-
-class _Claim:
-    """Thread-safe chunk claim queue (the dynamic schedule)."""
-
-    __slots__ = ("_it", "_lock")
-
-    def __init__(self, chunks):
-        self._it = iter(chunks)
-        self._lock = threading.Lock()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        with self._lock:
-            return next(self._it)
 
 
 def _red_init(red: RedPlan, s0):
@@ -606,11 +603,12 @@ def _coerce_store(v, tname):
 
 
 def _run_chunks(wrt, lk, plan, state, regs0, arrs, start, step, chunks):
-    """Execute a sequence of chunks on one worker interpreter.
+    """Execute a sequence of chunks, in order, on one chunk interpreter.
 
     Every chunk gets a fresh register file (privates/inner vars unset,
     reduction slots at their identity) so the join can merge per-chunk
-    finals; the profile accumulators are worker-level (exact arithmetic
+    finals; the profile accumulators are ``wrt``'s: the run's own on the
+    calling thread, a pool process's own otherwise (exact arithmetic
     makes their merge order irrelevant).
     """
     eng = _engine()
@@ -664,7 +662,7 @@ def _run_chunks(wrt, lk, plan, state, regs0, arrs, start, step, chunks):
             [regs[r.slot] for r in reds],
             [regs[sl] for sl in unset_slots], fault))
         if fault is not None:
-            break                  # this worker stops; others drain
+            break                  # the serial run stops here too
     return out
 
 
@@ -673,8 +671,9 @@ def _run_chunks(wrt, lk, plan, state, regs0, arrs, start, step, chunks):
 # --------------------------------------------------------------------------
 
 class ParallelRuntime:
-    """Per-interpreter fork-join executor (the pool itself is shared
-    process-wide; see ``perf.pool.shared_executor``)."""
+    """Per-interpreter fork-join executor.  Chunks run on the calling
+    thread, or with ``pool_kind="process"`` and more than one worker in
+    the process-wide pool of ``perf.pool.shared_executor``."""
 
     def __init__(self, workers: int, schedule: str | None = None,
                  pool_kind: str | None = None):
@@ -683,12 +682,13 @@ class ParallelRuntime:
             raise ValueError("workers must be >= 1")
         self.schedule = resolve_schedule(schedule)
         self.pool_kind = resolve_pool_kind(pool_kind)
+        #: chunks run concurrently in pool processes
+        self._in_processes = self.pool_kind == "process" \
+            and self.workers > 1
         #: (id(lk), lidx, checker?) -> execution state dict | None
         self._state: dict = {}
         #: unit name -> _UnitSummary | None (missing unit)
         self._summaries: dict = {}
-        #: id(program) -> {name: LinkedUnit} full pre-link map
-        self._lk_maps: dict = {}
 
     # -- eligibility -------------------------------------------------------
 
@@ -725,6 +725,12 @@ class ParallelRuntime:
         # recognized reduction, or the loop variable itself
         if not merge_names <= (privates | plan.inner_vars):
             return None
+        # every iteration writes a PRIVATE array at the same indices:
+        # concurrent chunks on shared memory would race on it
+        if self._in_processes and any(
+                sym is not None and sym.is_array
+                for sym in map(lk.symtab.get, privates)):
+            return None
         # transitive callee closure: no READ/COMMON-scalar-write/assert
         common_arrays: set = set()
         seen = set()
@@ -748,17 +754,6 @@ class ParallelRuntime:
             "reds": plan.reductions,
             "common_arrays": frozenset(common_arrays),
         }
-
-    def _lk_map(self, rt):
-        """Pre-link every unit of the program in the parent so workers
-        never touch the (unsynchronized) compile cache."""
-        m = self._lk_maps.get(id(rt.program))
-        if m is None:
-            eng = _engine()
-            m = {name: eng.linked_unit(uir)
-                 for name, uir in rt.program.units.items()}
-            self._lk_maps[id(rt.program)] = m
-        return m
 
     # -- entry point from the compiled PARALLEL DO op ----------------------
 
@@ -805,12 +800,11 @@ class ParallelRuntime:
         t_wall = time.perf_counter()
         chunks = chunk_ranges(trips, self.workers, self.schedule)
         state = dict(state, red_inits=red_inits)
-        if self.pool_kind == "process" and self.workers > 1:
+        if self._in_processes:
             recs = self._run_process(fr, plan, lidx, state, start, step,
                                      chunks)
         else:
-            recs = self._run_threads(fr, plan, state, start, step,
-                                     chunks)
+            recs = self._run_inline(fr, plan, state, start, step, chunks)
         self._join(fr, plan, state, start, step, trips, recs)
         uid = fr.lk.loop_uids[lidx]
         stats = rt._par_stats.get(uid)
@@ -830,75 +824,20 @@ class ParallelRuntime:
         perf_counters.bump("par_loops")
         perf_counters.bump("par_chunks", len(chunks))
 
-    # -- thread / inline execution -----------------------------------------
+    # -- inline execution --------------------------------------------------
 
-    def _run_threads(self, fr, plan, state, start, step, chunks):
-        rt = fr.rt
-        lk = fr.lk
-        lk_map = self._lk_map(rt)
-        regs0 = list(fr.regs)
-        arrs = fr.arrs
+    def _run_inline(self, fr, plan, state, start, step, chunks):
+        """Run every chunk on the calling thread, in chunk order.
 
-        def worker(chunk_iter):
-            wrt = _WorkerRT(rt.program, rt._globals, rt._global_arrays,
-                            rt.max_steps, lk_map)
-            recs = _run_chunks(wrt, lk, plan, state, regs0, arrs, start,
-                               step, chunk_iter)
-            return recs, wrt
-
-        n_workers = min(self.workers, len(chunks))
-        if n_workers <= 1:
-            recs, wrt = worker(list(chunks))
-            self._merge_worker(rt, wrt)
-            return recs
-        from ..perf.pool import shared_executor
-        ex = shared_executor("thread", self.workers)
-        if self.schedule == "dynamic":
-            claim = _Claim(chunks)
-            futures = [ex.submit(worker, claim)
-                       for _ in range(n_workers)]
-        else:
-            futures = [ex.submit(worker, [chunk]) for chunk in chunks]
-        recs = []
-        for f in futures:
-            r, wrt = f.result()
-            recs.extend(r)
-            self._merge_worker(rt, wrt)
-        return recs
-
-    def _merge_worker(self, rt, wrt):
-        """Fold a worker's profile accounting into the parent run.
-
-        All quantities are exact (ints and dyadic-rational floats), so
-        worker merge order cannot change a single bit.
+        The chunk interpreter shares the run's linker and profile
+        accumulators, so the join has only the chunk records to merge.
         """
-        for lk2, (cnt, li, lt, lf, ltf) in wrt._prof.items():
-            pacc = rt._prof.get(lk2)
-            if pacc is None:
-                rt._prof[lk2] = (list(cnt), list(li), list(lt),
-                                 bytearray(lf), bytearray(ltf))
-                continue
-            pc, pl, pt, pf, ptf = pacc
-            for k, c in enumerate(cnt):
-                if c:
-                    pc[k] += c
-            for k, c in enumerate(li):
-                if c:
-                    pl[k] += c
-            for k, c in enumerate(lt):
-                if c:
-                    pt[k] += c
-            for k in range(len(lf)):
-                if lf[k]:
-                    pf[k] = 1
-                if ltf[k]:
-                    ptf[k] = 1
-        ut = rt._unit_time
-        for name, t in wrt._unit_time.items():
-            ut[name] = ut.get(name, 0.0) + t
-        uc = rt._unit_calls
-        for name, n in wrt._unit_calls.items():
-            uc[name] = uc.get(name, 0) + n
+        rt = fr.rt
+        wrt = _WorkerRT(rt.program, rt._globals, rt._global_arrays,
+                        rt.max_steps, rt._linked, rt._prof,
+                        rt._unit_time, rt._unit_calls)
+        return _run_chunks(wrt, fr.lk, plan, state, fr.regs, fr.arrs,
+                           start, step, chunks)
 
     # -- the join ----------------------------------------------------------
 
@@ -1012,7 +951,6 @@ class ParallelRuntime:
                 a.data[...] = view
                 shm.close()
                 shm.unlink()
-        lk_map = self._lk_map(rt)
         recs = []
         for res in results:
             recs.append(_ChunkRec(
@@ -1023,16 +961,10 @@ class ParallelRuntime:
                  for v in res["finals"]],
                 res["fault"]))
             rt._globals.update(res["globals"])
-            for uname, (cnt, li, lt, lf, ltf) in res["prof"].items():
-                lk2 = lk_map.get(uname)
-                if lk2 is None:
-                    continue
-                wrt = _WorkerRT(rt.program, {}, {}, rt.max_steps, {})
-                wrt._prof[lk2] = (list(cnt), list(li), list(lt),
-                                  bytearray(lf), bytearray(ltf))
-                wrt._unit_time = {}
-                wrt._unit_calls = {}
-                self._merge_worker(rt, wrt)
+            for uname, acc in res["prof"].items():
+                lk2 = rt._linked(uname)
+                if lk2 is not None:
+                    _merge_profile(rt._prof, lk2, acc)
             ut = rt._unit_time
             for name, t in res["unit_time"].items():
                 ut[name] = ut.get(name, 0.0) + t
@@ -1043,6 +975,36 @@ class ParallelRuntime:
 
 
 _NOT_CACHED = object()
+
+
+def _merge_profile(prof, lk, acc):
+    """Fold one unit's profile counts from a pool process into the run's
+    accumulators.
+
+    All quantities are exact (ints and dyadic-rational floats), so merge
+    order cannot change a single bit.
+    """
+    cnt, li, lt, lf, ltf = acc
+    pacc = prof.get(lk)
+    if pacc is None:
+        prof[lk] = (list(cnt), list(li), list(lt), bytearray(lf),
+                    bytearray(ltf))
+        return
+    pc, pl, pt, pf, ptf = pacc
+    for k, c in enumerate(cnt):
+        if c:
+            pc[k] += c
+    for k, c in enumerate(li):
+        if c:
+            pl[k] += c
+    for k, c in enumerate(lt):
+        if c:
+            pt[k] += c
+    for k in range(len(lf)):
+        if lf[k]:
+            pf[k] = 1
+        if ltf[k]:
+            ptf[k] = 1
 
 
 # --------------------------------------------------------------------------
@@ -1101,7 +1063,7 @@ def _process_chunk(payload, chunk):
                           for v in payload["red_inits"]],
         }
         wrt = _WorkerRT(program, dict(payload["globals"]), garrs,
-                        payload["max_steps"], lk_map)
+                        payload["max_steps"], lk_map.get, {}, {}, {})
         recs = _run_chunks(wrt, lk, plan, state, regs0, arrs,
                            payload["start"], payload["step"], [chunk])
         r = recs[0]

@@ -20,8 +20,8 @@ same source text repeatedly (original vs. transformed, before vs.
 after), so parsed/analyzed programs are memoized in a small LRU keyed
 by source text (disable with ``REPRO_EXEC_CACHE=0``).
 
-The compiled engine can additionally execute ``PARALLEL DO`` loops for
-real on a worker pool (:mod:`repro.interp.runtime`): pass
+The compiled engine can additionally execute ``PARALLEL DO`` loops
+through the fork-join DOALL runtime (:mod:`repro.interp.runtime`): pass
 ``workers=N``/``schedule=`` or set ``REPRO_EXEC_WORKERS`` /
 ``REPRO_EXEC_SCHEDULE``.  Results stay byte-identical to serial; only
 wall-clock time changes, which :func:`simulate_speedup` reports in

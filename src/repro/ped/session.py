@@ -570,7 +570,7 @@ class PedSession:
                                    schedule: str = "static",
                                    top: int = 10) -> str:
         """Navigation ranking with measured parallel speedups: runs the
-        program's PARALLEL DO loops on the DOALL worker pool (1 worker
+        program's PARALLEL DO loops through the DOALL runtime (1 worker
         vs. ``workers``) and reports wall-clock speedup next to the
         static cost-model prediction."""
         from ..perf.estimate import measure_parallel_payoff

@@ -60,9 +60,9 @@ class EngineCounters:
     pool_reuses: int = 0
 
     # -- fork-join DOALL runtime ----------------------------------------------
-    #: PARALLEL DO entries executed for real on the worker pool
+    #: PARALLEL DO entries executed through the fork-join runtime
     par_loops: int = 0
-    #: iteration chunks dispatched across all parallel loop entries
+    #: iteration chunks run across all parallel loop entries
     par_chunks: int = 0
     #: PARALLEL DO entries that fell back to the serial simulation
     #: (ineligible body, unset reduction seed, tiny trip count...)

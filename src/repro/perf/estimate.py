@@ -227,16 +227,15 @@ def measure_parallel_payoff(program, inputs=None, workers: int = 4,
                             schedule: str = "static",
                             engine: str = "compiled"
                             ) -> list[LoopSpeedup]:
-    """Execute a program's PARALLEL DO loops on the worker pool and
-    report measured vs. predicted speedup per loop.
+    """Execute a program's PARALLEL DO loops through the DOALL runtime
+    and report measured vs. predicted speedup per loop.
 
     Runs the program twice through the DOALL runtime -- once with one
-    worker (the same chunk/merge machinery, inline) and once with
-    ``workers`` -- so the wall-clock ratio isolates pool parallelism
-    from dispatch overhead.  Loops that fell back to the serial
-    simulation in either run are absent from the result.  ``engine``
-    selects the execution tier both runs use (the worlds explorer
-    measures payoffs on the vector tier too).
+    worker and once with ``workers`` -- so the wall-clock ratio shows
+    what the extra chunks cost or save.  Loops that fell back to the
+    serial simulation in either run are absent from the result.
+    ``engine`` selects the execution tier both runs use (the worlds
+    explorer measures payoffs on the vector tier too).
     """
     from ..interp.verify import analyzed_program, run_program
     prog = analyzed_program(program)

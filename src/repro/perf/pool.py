@@ -86,9 +86,8 @@ def worker_count(n_tasks: int, max_workers: int | None = None) -> int:
 
 
 # --------------------------------------------------------------------------
-# Persistent shared executors (created once per process, reused; the
-# DOALL runtime forks every PARALLEL DO through these, so pool startup
-# cost is paid once per session, not once per loop)
+# Persistent shared executors (created once per process and reused, so
+# pool startup is paid once per process, not once per batch or loop)
 # --------------------------------------------------------------------------
 
 _SHARED: dict[str, tuple] = {}      # kind -> (executor, max_workers)
@@ -104,11 +103,9 @@ def shared_executor(kind: str, workers: int):
     workers.  Grows (replacing the old executor) when a caller asks for
     more; otherwise the existing pool is reused.
 
-    ``"thread"`` is the DOALL runtime's chunk pool; ``"worlds"`` is a
-    second, independent thread pool for the parallel-worlds race.  They
-    must stay separate: a world task blocks on DOALL chunk futures, and
-    blocking on futures of the pool you occupy a worker of is the
-    classic thread-pool recursion deadlock.
+    ``"process"`` runs the DOALL runtime's chunks under
+    ``REPRO_EXEC_POOL=process``; ``"worlds"`` is the parallel-worlds
+    race's thread pool; ``"thread"`` serves ``run_tasks(reuse=True)``.
     """
     if kind not in ("thread", "process", "worlds"):
         raise ValueError(f"unknown executor kind {kind!r}")
@@ -131,8 +128,7 @@ def shared_executor(kind: str, workers: int):
         else:
             ex = ThreadPoolExecutor(
                 max_workers=workers,
-                thread_name_prefix="repro-worlds" if kind == "worlds"
-                else "repro-doall")
+                thread_name_prefix=f"repro-{kind}")
         _SHARED[kind] = (ex, workers)
         with counters._LOCK:
             counters.COUNTERS.pool_workers = max(
@@ -214,10 +210,9 @@ def run_tasks(tasks: Sequence[Callable[[], object]],
     fresh executor -- the right choice for hot callers that fan many
     batches and would otherwise pay pool startup per batch.  ``True``
     picks the kind matching the resolved mode; a string names the shared
-    kind explicitly (the parallel-worlds race passes ``"worlds"`` so its
-    tasks can block on DOALL futures in the ``"thread"`` pool without
-    recursion deadlock).  A reused executor is never shut down here, so
-    timed-out orphans keep occupying shared workers until they finish.
+    kind explicitly (the parallel-worlds race passes ``"worlds"``).  A
+    reused executor is never shut down here, so timed-out orphans keep
+    occupying shared workers until they finish.
     """
     tasks = list(tasks)
     if contexts is not None:

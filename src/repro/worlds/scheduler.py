@@ -18,11 +18,11 @@ Each proposal is raced independently:
    the deterministic virtual speedup (oracle clock / world clock) and
    the measured wall-clock speedup are recorded.
 
-Races fan across the persistent shared thread pool
-(``run_tasks(reuse="worlds")``): a dedicated executor kind, so world
-tasks can themselves fork DOALL chunks onto the ``thread`` executor
-without pool-recursion deadlock.  Results return in submission order --
-the race outcome is deterministic even though completion order is not.
+Races fan across the persistent shared ``worlds`` thread pool
+(``run_tasks(reuse="worlds")``).  A world's DOALL runtime runs its
+chunks on the world's own thread, in chunk order, so every world run is
+reproducible.  Results return in submission order -- the race outcome
+is deterministic even though completion order is not.
 """
 
 from __future__ import annotations

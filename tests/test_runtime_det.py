@@ -6,7 +6,8 @@ simulation under every worker count and schedule.  These tests fuzz
 that invariant from three directions --
 
 * the eight corpus programs, auto-parallelized by the session layer,
-  run under workers x schedules against the tree-walking oracle;
+  run under workers x schedules against the tree-walking oracle, plus
+  spec77 with a PRIVATE array that every iteration writes;
 * the post-state of every registry transformation (the same scenario
   table the rollback/undo suites use);
 * targeted reduction kinds (integer sum/product, max/min, and the
@@ -14,7 +15,8 @@ that invariant from three directions --
 
 Plus fault parity (a crash inside a chunk surfaces the same message as
 the serial run), environment resolution, chunk partitioning, counters,
-health reporting, and a process-pool smoke test.
+health reporting, chunks running without a pool, and process-pool
+tests.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.interp.machine import RuntimeFault, StepLimitExceeded
 from repro.ir import AnalyzedProgram
 from repro.ped import PedSession
 from repro.perf import counters as perf_counters
+from repro.perf import pool
 
 from .test_compiled_engine import _assert_identical_observables, \
     _assert_profiles_match
@@ -76,6 +79,22 @@ def _parallel_source(name: str) -> str:
     return _PAR_SOURCE[name]
 
 
+def _private_work_source() -> str:
+    """spec77 with ``WORK`` classified private at SMOOTH's first loop,
+    then auto-parallelized: ``PARALLEL DO 80 J = 1, NLAT PRIVATE(I,
+    WORK)``, whose every iteration writes WORK(1:96) and reads it
+    back."""
+    key = "spec77/private WORK"
+    if key not in _PAR_SOURCE:
+        session = PedSession(PROGRAMS["spec77"].source)
+        session.select_unit("SMOOTH")
+        session.classify_variable("WORK", "private", loop="L1")
+        session.auto_parallelize()
+        _PAR_SOURCE[key] = session.source()
+    assert "PRIVATE(I, WORK)" in _PAR_SOURCE[key]
+    return _PAR_SOURCE[key]
+
+
 class TestCorpusDeterminism:
     @pytest.mark.parametrize("name", ORDER)
     def test_byte_identical_under_all_combos(self, name):
@@ -85,6 +104,18 @@ class TestCorpusDeterminism:
         for workers, schedule in COMBOS:
             comp = _parallel_run(program, workers, schedule, cp.inputs)
             _assert_matches_oracle(tree, comp)
+
+    def test_private_array_byte_identical_under_all_combos(self):
+        """Chunks that interleave on a PRIVATE array diverge only
+        sometimes, so every combo runs three times."""
+        cp = PROGRAMS["spec77"]
+        program = AnalyzedProgram.from_source(_private_work_source())
+        tree = _oracle(program, cp.inputs)
+        for workers, schedule in COMBOS:
+            for _ in range(3):
+                comp = _parallel_run(program, workers, schedule,
+                                     cp.inputs)
+                _assert_matches_oracle(tree, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +399,12 @@ class TestObservability:
     def test_counters_report_mentions_doall(self):
         assert "doall runtime" in perf_counters.report()
 
-    def test_pool_reuse_across_loops(self):
-        perf_counters.reset()
+    def test_chunks_run_without_a_pool(self, monkeypatch):
+        def no_pool(kind, workers):
+            raise AssertionError(f"{kind} pool requested")
+
+        monkeypatch.delenv("REPRO_EXEC_POOL", raising=False)
+        monkeypatch.setattr(pool, "shared_executor", no_pool)
         src = ("      PROGRAM T\n      REAL A(100), B(100)\n"
                "      INTEGER I\n"
                "      PARALLEL DO 10 I = 1, 100\n"
@@ -378,10 +413,14 @@ class TestObservability:
                "      PARALLEL DO 20 I = 1, 100\n"
                "      B(I) = A(I) + 1.0\n"
                "   20 CONTINUE\n      END\n")
-        run_program(src, workers=2)
+        program = AnalyzedProgram.from_source(src)
+        tree = _oracle(program)
+        perf_counters.reset()
+        comp = _parallel_run(program, 2, "static")
         snap = perf_counters.snapshot()
         assert snap["par_loops"] == 2
-        assert snap["pool_reuses"] >= 1  # second loop reused the pool
+        assert snap["par_chunks"] == 4
+        _assert_matches_oracle(tree, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +434,15 @@ class TestProcessPool:
         tree = _oracle(program)
         comp = _parallel_run(program, 2, "static")
         _assert_matches_oracle(tree, comp)
+
+    def test_private_array_falls_back(self, monkeypatch):
+        """Pool processes would race on the PRIVATE array's shared
+        memory, so its loop runs the serial simulation instead."""
+        monkeypatch.setenv("REPRO_EXEC_POOL", "process")
+        cp = PROGRAMS["spec77"]
+        program = AnalyzedProgram.from_source(_private_work_source())
+        tree = _oracle(program, cp.inputs)
+        perf_counters.reset()
+        comp = _parallel_run(program, 2, "static", cp.inputs)
+        _assert_matches_oracle(tree, comp)
+        assert perf_counters.snapshot()["par_fallbacks"] >= 1
