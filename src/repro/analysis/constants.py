@@ -9,7 +9,6 @@ with locating constant-valued loop bounds, step sizes and subscripts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..fortran import ast
 from ..ir.cfg import CFG, ENTRY
@@ -71,6 +70,14 @@ def eval_const(e: ast.Expr, env: dict[str, Value]) -> Value:
     return BOTTOM
 
 
+def int_div(a: int, b: int) -> int:
+    """Fortran INTEGER division: the exact quotient truncated toward
+    zero, computed on Python ints (a float quotient is wrong past 2**53
+    and overflows past ~1e308).  ``b == 0`` raises ZeroDivisionError."""
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
 def _apply(op: str, a, b):
     if op == "+":
         return a + b
@@ -80,8 +87,7 @@ def _apply(op: str, a, b):
         return a * b
     if op == "/":
         if isinstance(a, int) and isinstance(b, int):
-            q = Fraction(a, b)
-            return int(q) if q.denominator == 1 else int(a / b)
+            return int_div(a, b)
         return a / b
     if op == "**":
         return a ** b

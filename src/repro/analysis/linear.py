@@ -5,13 +5,22 @@ Dependence tests reason about subscripts of the form::
     a0 + a1*I1 + a2*I2 + ... + (symbolic residue)
 
 where ``Ik`` are loop induction variables.  :class:`LinearExpr` is that
-normal form: an integer/rational constant, integer coefficients per
-variable, and a tuple of opaque residue expressions for anything
-non-affine (index-array references ``IT(N)``, products of variables,
-function calls, ...).  A subscript with a residue can still be tested
-conservatively: two references whose residues are structurally identical
-cancel when subtracted, which is how symbolic-but-equal terms (the ``MCN``
-offsets of pueblo3d) are handled.
+normal form: a constant, a coefficient per variable, and a tuple of
+opaque residue expressions for anything non-affine (index-array
+references ``IT(N)``, products of variables, function calls, ...).  A
+subscript with a residue can still be tested conservatively: two
+references whose residues are structurally identical cancel when
+subtracted, which is how symbolic-but-equal terms (the ``MCN`` offsets
+of pueblo3d) are handled.
+
+Numbers are integer-first: the constant and every coefficient is a
+Python ``int``, and a :class:`~fractions.Fraction` exists only for a
+value that is not an integer (a non-integral REAL constant, or a
+coefficient derived from one).  Every result is normalized back to
+``int`` when it is integral.  Since ``Fraction(n) == n`` and
+``hash(Fraction(n)) == hash(n)``, a form compares and hashes exactly as
+its all-Fraction spelling would, so memo keys built from forms do not
+depend on which spelling produced them.
 """
 
 from __future__ import annotations
@@ -22,27 +31,39 @@ from fractions import Fraction
 from ..fortran import ast
 
 
+#: an ``int``, or a ``Fraction`` that is not integral
+Number = int | Fraction
+
+
+def _num(x: Number) -> Number:
+    """``x`` as an ``int`` when it is integral (a ``bool`` or a
+    ``Fraction`` with denominator 1), else the ``Fraction`` itself."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 @dataclass(frozen=True)
 class LinearExpr:
-    const: Fraction = Fraction(0)
+    const: Number = 0
     #: variable name -> coefficient
-    terms: tuple[tuple[str, Fraction], ...] = ()
+    terms: tuple[tuple[str, Number], ...] = ()
     #: opaque non-affine addends, each (coefficient, expression)
-    residue: tuple[tuple[Fraction, ast.Expr], ...] = ()
+    residue: tuple[tuple[Number, ast.Expr], ...] = ()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(v: "int | Fraction") -> "LinearExpr":
-        return LinearExpr(const=Fraction(v))
+    def constant(v: Number) -> "LinearExpr":
+        return LinearExpr(const=_num(v))
 
     @staticmethod
-    def var(name: str, coef: "int | Fraction" = 1) -> "LinearExpr":
-        return LinearExpr(terms=((name.upper(), Fraction(coef)),))
+    def var(name: str, coef: Number = 1) -> "LinearExpr":
+        return LinearExpr(terms=((name.upper(), _num(coef)),))
 
     @staticmethod
-    def opaque(e: ast.Expr, coef: "int | Fraction" = 1) -> "LinearExpr":
-        return LinearExpr(residue=((Fraction(coef), e),))
+    def opaque(e: ast.Expr, coef: Number = 1) -> "LinearExpr":
+        return LinearExpr(residue=((_num(coef), e),))
 
     # -- queries -----------------------------------------------------------
 
@@ -60,17 +81,17 @@ class LinearExpr:
             return int(self.const)
         return None
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> Number:
         name = name.upper()
         for v, c in self.terms:
             if v == name:
                 return c
-        return Fraction(0)
+        return 0
 
     def variables(self) -> set[str]:
         return {v for v, _ in self.terms}
 
-    def terms_dict(self) -> dict[str, Fraction]:
+    def terms_dict(self) -> dict[str, Number]:
         return dict(self.terms)
 
     # -- arithmetic --------------------------------------------------------
@@ -78,15 +99,14 @@ class LinearExpr:
     def __add__(self, other: "LinearExpr") -> "LinearExpr":
         terms = dict(self.terms)
         for v, c in other.terms:
-            terms[v] = terms.get(v, Fraction(0)) + c
+            terms[v] = terms.get(v, 0) + c
         residue = _merge_residue(self.residue, other.residue)
         return _make(self.const + other.const, terms, residue)
 
     def __sub__(self, other: "LinearExpr") -> "LinearExpr":
         return self + other.scale(-1)
 
-    def scale(self, k: "int | Fraction") -> "LinearExpr":
-        k = Fraction(k)
+    def scale(self, k: Number) -> "LinearExpr":
         if k == 0:
             return LinearExpr()
         return _make(self.const * k,
@@ -109,7 +129,9 @@ class LinearExpr:
 
 def _merge_residue(a, b):
     """Combine residue lists, cancelling structurally-equal expressions."""
-    acc: list[tuple[Fraction, ast.Expr]] = list(a)
+    if not b:
+        return a
+    acc: list[tuple[Number, ast.Expr]] = list(a)
     for coef, expr in b:
         for i, (c0, e0) in enumerate(acc):
             if e0 == expr:
@@ -120,12 +142,13 @@ def _merge_residue(a, b):
     return tuple((c, e) for c, e in acc if c != 0)
 
 
-def _make(const: Fraction, terms: dict[str, Fraction],
+def _make(const: Number, terms: dict[str, Number],
           residue) -> LinearExpr:
     return LinearExpr(
-        const=const,
-        terms=tuple(sorted((v, c) for v, c in terms.items() if c != 0)),
-        residue=tuple(residue))
+        const=_num(const),
+        terms=tuple(sorted((v, _num(c)) for v, c in terms.items()
+                           if c != 0)),
+        residue=tuple((_num(c), e) for c, e in residue))
 
 
 def canonical(e: ast.Expr) -> ast.Expr:
@@ -205,14 +228,14 @@ def linearize(e: ast.Expr,
             if x.op == "/":
                 lhs = rec(x.left, env_)
                 rhs = rec(x.right, env_)
-                if rhs.is_constant and rhs.const != 0:
-                    scaled = lhs.scale(Fraction(1) / rhs.const)
-                    # Integer division truncates; only exact divisions are
-                    # safe to keep affine.
-                    if all(c.denominator == 1 for _, c in scaled.terms) \
-                            and scaled.const.denominator == 1 \
-                            and not scaled.residue:
-                        return scaled
+                d = rhs.const
+                # Integer division truncates; only exact divisions are
+                # safe to keep affine.
+                if rhs.is_constant and d != 0 and not lhs.residue \
+                        and lhs.const % d == 0 \
+                        and all(c % d == 0 for _, c in lhs.terms):
+                    return _make(lhs.const // d,
+                                 {v: c // d for v, c in lhs.terms}, ())
                 return LinearExpr.opaque(x)
             if x.op == "**":
                 lhs = rec(x.left, env_)

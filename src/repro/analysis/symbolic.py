@@ -17,7 +17,6 @@ loop be parallelized.  We provide:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..fortran import ast
 from ..ir.cfg import CFG, ENTRY

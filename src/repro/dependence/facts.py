@@ -21,9 +21,8 @@ Supported fact kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from ..analysis.linear import LinearExpr
+from ..analysis.linear import LinearExpr, Number
 
 
 @dataclass(frozen=True)
@@ -193,10 +192,10 @@ class FactBase:
             return "<=0"
         return None
 
-    def _interval(self, q: LinearExpr) -> tuple[Fraction | None,
-                                                Fraction | None]:
-        lo: Fraction | None = q.const
-        hi: Fraction | None = q.const
+    def _interval(self, q: LinearExpr) -> tuple[Number | None,
+                                                Number | None]:
+        lo: Number | None = q.const
+        hi: Number | None = q.const
         for v, c in q.terms:
             vlo, vhi = self.ranges.get(v, (None, None))
             tlo = c * vlo if vlo is not None else None

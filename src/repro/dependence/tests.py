@@ -24,10 +24,9 @@ marking discipline of Section 3.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
-from ..analysis.linear import LinearExpr, linearize
+from ..analysis.linear import LinearExpr, Number, linearize
 from ..fortran import ast
 from ..perf import counters as _counters
 from ..store import MISS, declare as _declare_ns, get_store
@@ -132,7 +131,7 @@ class SymInterval:
                                     and other.hi is not None) else None
         return SymInterval(lo, hi)
 
-    def scaled(self, c: Fraction) -> "SymInterval":
+    def scaled(self, c: Number) -> "SymInterval":
         if c == 0:
             z = LinearExpr()
             return SymInterval(z, z)
@@ -190,7 +189,7 @@ def _index_array_checks(h: LinearExpr, dv_by_var: dict[str, str],
     if len(h.residue) != 2:
         return None
     (c1, e1), (c2, e2) = h.residue
-    if {c1, c2} != {Fraction(1), Fraction(-1)}:
+    if {c1, c2} != {1, -1}:
         return None
     pos, neg = (e1, e2) if c1 == 1 else (e2, e1)
     if not (isinstance(pos, ast.ArrayRef) and isinstance(neg, ast.ArrayRef)):
@@ -251,14 +250,14 @@ def _subscript_feasible(h: LinearExpr, dv: DirectionVector,
 
     # Rewrite h over (i_k, delta_k): i'_k = i_k + delta_k.
     #   h = sum (a_k - b_k) i_k  -  sum b_k delta_k  +  sym
-    by_level: dict[int, tuple[Fraction, Fraction]] = {}
+    by_level: dict[int, tuple[Number, Number]] = {}
     sym = LinearExpr.constant(h.const)
     var_level = {lp.var: k for k, lp in enumerate(loops)}
     for v, c in h.terms:
         base = v[:-len(SINK)] if v.endswith(SINK) else v
         if base in var_level:
             k = var_level[base]
-            a, b = by_level.get(k, (Fraction(0), Fraction(0)))
+            a, b = by_level.get(k, (0, 0))
             if v.endswith(SINK):
                 b += -c  # term is c*i'_k; equation uses -b_k with b_k = -c
             else:
@@ -348,10 +347,8 @@ def _strong_siv_distance(h: LinearExpr, level: int,
                       h.residue)
     if a == 0 or b != -a or rest.terms or rest.residue:
         return None
-    d = rest.const / a
-    if d.denominator != 1:
-        return None
-    return int(d)
+    d, r = divmod(rest.const, a)
+    return None if r else int(d)
 
 
 # --------------------------------------------------------------------------

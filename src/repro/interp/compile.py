@@ -600,8 +600,8 @@ def _comp_binop(cx: _Cx, e: ast.BinOp):
             return lambda fr: lc * rf(fr)
         return lambda fr: lf(fr) * rf(fr)
     if op == "/":
-        # integer division goes through machine._binop for the exact
-        # Fraction-based truncation semantics
+        # division goes through machine._binop for INTEGER division's
+        # exact truncation toward zero
         return lambda fr: _binop("/", lf(fr), rf(fr))
     if op == "**":
         return lambda fr: lf(fr) ** rf(fr)

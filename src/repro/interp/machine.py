@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
+from ..analysis.constants import int_div
 from ..fortran import ast
 from ..ir.program import AnalyzedProgram
 from ..ir.symtab import SymbolTable
@@ -860,8 +860,7 @@ def _binop(op: str, a, b):
                                                                np.integer)):
             if b == 0:
                 raise RuntimeFault("integer division by zero")
-            q = Fraction(int(a), int(b))
-            return int(q) if q.denominator == 1 else int(a / b)
+            return int_div(int(a), int(b))
         return a / b
     if op == "**":
         return a ** b

@@ -473,7 +473,7 @@ def _vbinop(lx, e):
             _combine_arith(lt_, rt_), varies, safe
     if op == "/":
         if lt_ != _FLOAT and rt_ != _FLOAT:
-            raise _Reject("INTEGER division (Fraction semantics)")
+            raise _Reject("INTEGER division (truncates toward zero)")
         _precheck_operand(lx, e.right, rf, rs,
                           lambda a: bool(np.all(a != 0)), "divisor")
         return (lambda ev: lf(ev) / rf(ev)), _FLOAT, varies, safe

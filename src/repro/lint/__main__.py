@@ -12,6 +12,9 @@ Modes:
 -in baselines and exits 1 on any drift (new findings *or* vanished
 ones — output is deterministic, so exact match is the contract).
 ``--write-golden DIR`` regenerates the baselines.
+
+A rule that crashes contributes no findings, so the command prints each
+crash to standard error and exits 1, golden baselines or not.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ import sys
 from ..corpus import ORDER, PROGRAMS
 from ..ir.program import AnalyzedProgram
 from .core import rule_ids
-from .driver import lint_program
+from .driver import LintResult, lint_program
 from .seeds import SEEDS, seeded_program, seeded_source
 
 MODES = ("plain", "auto", "seeded")
 
 
 def _lint_one(name: str, mode: str, rules=None):
-    """[(Diagnostic, ...)] for one corpus program in one mode."""
+    """The :class:`LintResult` of one corpus program in one mode."""
     if mode == "plain":
         src = PROGRAMS[name].source
         return lint_program(AnalyzedProgram.from_source(src),
@@ -45,7 +48,7 @@ def _lint_one(name: str, mode: str, rules=None):
                             rules=rules, source=src)
     if mode == "seeded":
         if name not in SEEDS:
-            return []
+            return LintResult()
         program, assertions = seeded_program(name)
         return lint_program(program, assertions, rules=rules,
                             source=seeded_source(name))
@@ -90,6 +93,7 @@ def main(argv=None) -> int:
 
     names = args.programs or list(ORDER)
     results: dict[str, dict[str, list[dict]]] = {}
+    crashes: list[str] = []
     for name in names:
         if name not in PROGRAMS:
             path = pathlib.Path(name)
@@ -97,14 +101,23 @@ def main(argv=None) -> int:
                 print(f"unknown program {name!r}", file=sys.stderr)
                 return 2
             src = path.read_text()
-            diags = lint_program(AnalyzedProgram.from_source(src),
-                                 rules=rules, source=src)
-            results[name] = {"plain": _as_json(diags)}
-            continue
-        results[name] = {m: _as_json(_lint_one(name, m, rules))
-                         for m in modes}
+            runs = {"plain": lint_program(AnalyzedProgram.from_source(src),
+                                          rules=rules, source=src)}
+        else:
+            runs = {m: _lint_one(name, m, rules) for m in modes}
+        results[name] = {m: _as_json(d) for m, d in runs.items()}
+        crashes += [f"{name}/{m}: {rid}: {err}"
+                    for m, d in runs.items()
+                    for rid, _, err in d.rule_failures]
+    if crashes:
+        print("lint rules crashed (their findings are missing):",
+              file=sys.stderr)
+        for c in crashes:
+            print("  " + c, file=sys.stderr)
 
     if args.write_golden:
+        if crashes:
+            return 1        # a baseline must not bake in lost findings
         outdir = pathlib.Path(args.write_golden)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, by_mode in results.items():
@@ -158,8 +171,7 @@ def main(argv=None) -> int:
         print("\nlint drift against golden baselines:", file=sys.stderr)
         for d in drift:
             print("  " + d, file=sys.stderr)
-        return 1
-    return 0
+    return 1 if crashes or drift else 0
 
 
 if __name__ == "__main__":

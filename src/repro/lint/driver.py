@@ -176,15 +176,28 @@ def run_rules(ctx: LintContext, units=None, rules=None) -> list[Diagnostic]:
     return out
 
 
+class LintResult(list):
+    """The diagnostic list of one lint pass plus the rules that crashed
+    in it: ``rule_failures`` holds one ``(rule id, unit or None, error
+    text)`` per crash.  A crashed rule contributes no findings (all RACE
+    rules share one per-loop analysis, so one crash loses all of them),
+    so a non-empty ``rule_failures`` means the list is incomplete."""
+
+    def __init__(self, diags=(), rule_failures=()):
+        super().__init__(diags)
+        self.rule_failures = list(rule_failures)
+
+
 def lint_program(program, assertions: AssertionSet | None = None,
                  units=None, rules=None, source: str | None = None,
-                 include_suppressed: bool = True) -> list[Diagnostic]:
+                 include_suppressed: bool = True) -> LintResult:
     """Lint an :class:`AnalyzedProgram` (or source text).
 
     Returns the deterministic diagnostic list: sorted by
     ``(unit, line, rule, var, message)``, de-duplicated, with
     ``C$PED LINT`` suppressions applied (suppressed findings are kept,
-    flagged, unless ``include_suppressed=False``).
+    flagged, unless ``include_suppressed=False``).  Its
+    ``rule_failures`` lists the rules that crashed.
     """
     if isinstance(program, str):
         source = program
@@ -198,11 +211,11 @@ def lint_program(program, assertions: AssertionSet | None = None,
     perf_counters.bump("lint_diags", len(diags))
     if not include_suppressed:
         diags = [d for d in diags if not d.suppressed]
-    return diags
+    return LintResult(diags, ctx.rule_failures)
 
 
 def lint_source(source: str, units=None, rules=None,
-                include_suppressed: bool = True) -> list[Diagnostic]:
+                include_suppressed: bool = True) -> LintResult:
     """Lint Fortran source text directly (parse + analyze + lint in one
     call).  Equivalent to ``lint_program(source)``; exists so headless
     callers (the fleet, scripts) don't build a program object first."""

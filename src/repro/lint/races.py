@@ -415,8 +415,8 @@ class LoopRaceAnalysis:
             if k == 0:
                 return SAME_CELL, []
             return NEVER, []
-        d = -k / cw
-        if d.denominator != 1:
+        d, r = divmod(-k, cw)
+        if r:
             return NEVER, []
         return (SAME_ITER_ONLY, []) if d == 0 else (CARRIED, [])
 

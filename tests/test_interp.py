@@ -23,6 +23,24 @@ class TestArithmetic:
                 "      PRINT *, K\n      END\n")
         assert r.outputs == [-3]
 
+    @pytest.mark.parametrize("engine", ["tree", "compiled"])
+    def test_integer_division_exact_past_float_precision(self, engine):
+        # a float quotient would lose the low bit of 2**62 + 3
+        r = run("      PROGRAM P\n      PRINT *, (2**62 + 3) / 2\n"
+                "      PRINT *, -7 / 2\n      END\n", engine=engine)
+        assert r.outputs == [2305843009213693953, -3]
+
+    def test_constant_folder_divides_exactly(self):
+        from repro.analysis.constants import eval_const
+        from repro.fortran.parser import parse_expr_text
+
+        def fold(text):
+            return eval_const(parse_expr_text(text), {})
+
+        assert fold("(2**62 + 3) / 2") == 2305843009213693953
+        assert fold("-7 / 2") == -3
+        assert fold("(10**400 + 1) / (-3)") == -((10**400 + 1) // 3)
+
     def test_mixed_coercion(self):
         r = run("      PROGRAM P\n      INTEGER K\n      K = 3.9\n"
                 "      PRINT *, K\n      END\n")

@@ -54,6 +54,9 @@ class TestLinearize:
     def test_inexact_division_is_residue(self):
         le = lin("I / 2")
         assert not le.is_affine
+        # a remainder keeps the whole quotient opaque
+        e = parse_expr_text("(2 * I + 1) / 2")
+        assert linearize(e) == LinearExpr.opaque(e)
 
     def test_array_ref_residue_cancels(self):
         a = lin("ISTRT(IR) + 1")
@@ -69,6 +72,78 @@ class TestLinearize:
 
     def test_power_constant_fold(self):
         assert lin("2 ** 3").int_const == 8
+
+    def test_non_integral_real_constant_stays_a_fraction(self):
+        le = lin("0.5 * I + 2.5")
+        assert le.coeff("I") == Fraction(1, 2)
+        assert type(le.coeff("I")) is Fraction
+        assert type(le.const) is Fraction and le.const == Fraction(5, 2)
+        # an integral result drops back to int
+        twice = le + le
+        assert twice.coeff("I") == 1 and type(twice.coeff("I")) is int
+        assert twice.const == 5 and type(twice.const) is int
+
+
+def _int_expr(v: int) -> ast.Expr:
+    return ast.IntConst(v) if v >= 0 else ast.UnOp("-", ast.IntConst(-v))
+
+
+#: (expression, its value at a point) pairs over loop variables I, J
+#: and the symbolic name N
+_LEAVES = st.one_of(
+    st.integers(-20, 20).map(lambda v: (_int_expr(v), lambda pt: v)),
+    st.sampled_from("IJN").map(
+        lambda n: (ast.VarRef(n), lambda pt: pt[n])))
+
+
+def _extend(children):
+    def add(pair):
+        (a, fa), (b, fb) = pair
+        return ast.BinOp("+", a, b), lambda pt: fa(pt) + fb(pt)
+
+    def sub(pair):
+        (a, fa), (b, fb) = pair
+        return ast.BinOp("-", a, b), lambda pt: fa(pt) - fb(pt)
+
+    def mul(pair):
+        (a, fa), k = pair
+        return (ast.BinOp("*", _int_expr(k), a), lambda pt: k * fa(pt))
+
+    def exact_div(triple):
+        # (q*d*a) / d divides every coefficient exactly
+        (a, fa), q, d = triple
+        num = ast.BinOp("*", _int_expr(q * d), a)
+        return (ast.BinOp("/", num, _int_expr(d)),
+                lambda pt: q * d * fa(pt) // d)
+
+    return st.one_of(
+        st.tuples(children, children).map(add),
+        st.tuples(children, children).map(sub),
+        st.tuples(children, st.integers(-6, 6)).map(mul),
+        st.tuples(children, st.integers(-4, 4),
+                  st.integers(-5, 5).filter(bool)).map(exact_div))
+
+
+_POINTS = st.fixed_dictionaries({n: st.integers(-30, 30) for n in "IJN"})
+
+
+class TestIntegerFirst:
+    @given(st.recursive(_LEAVES, _extend, max_leaves=10),
+           st.lists(_POINTS, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_forms(self, expr_and_value, points):
+        expr, value = expr_and_value
+        le = linearize(expr)
+        assert le.is_affine
+        assert type(le.const) is int
+        assert all(type(c) is int for _, c in le.terms)
+        for pt in points:
+            assert le.const + sum(c * pt[v] for v, c in le.terms) \
+                == value(pt)
+        # the all-Fraction spelling of the same form is the same memo key
+        spelled = LinearExpr(Fraction(le.const),
+                             tuple((v, Fraction(c)) for v, c in le.terms))
+        assert spelled == le and hash(spelled) == hash(le)
 
 
 class TestToExpr:

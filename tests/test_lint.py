@@ -91,6 +91,20 @@ RACE_REAL_REDUCTION = """\
       END
 """
 
+STRIDED = """\
+      PROGRAM P
+      INTEGER I
+      REAL A(40)
+      DO 5 I = 1, 40
+         A(I) = I
+ 5    CONTINUE
+      PARALLEL DO 10 I = 2, 10
+         A(2*I) = A(2*I{offset}) + 1.0
+ 10   CONTINUE
+      PRINT *, A(2)
+      END
+"""
+
 DEAD_STORE = """\
       PROGRAM P
       REAL X, Y
@@ -179,6 +193,15 @@ class TestRuleUnits:
         assert diags and "DISJOINT(IT, JT, 3)" in diags[0].message
         # the witness names concrete contradicting values
         assert "IT(" in diags[0].message and "JT(" in diags[0].message
+
+    @pytest.mark.parametrize("offset,races", [("+1", []),
+                                              ("-2", ["RACE001"])])
+    def test_race001_strided_subscripts(self, offset, races):
+        # 2*I never meets 2*I+1 (the distance 1/2 is not an integer);
+        # 2*I meets 2*I-2 one iteration later
+        result = lint_program(STRIDED.format(offset=offset))
+        assert result.rule_failures == []
+        assert [d.rule for d in result] == races
 
     def test_lint001_dead_store(self):
         diags = _rules_of(lint_program(DEAD_STORE), "LINT001")
@@ -453,6 +476,53 @@ class TestSessionLinter:
         linter = session._lint_linter()
         assert isinstance(linter, SessionLinter)
         assert _rules_of(session.lint(), "RACE004")
+
+
+# ---------------------------------------------------------------------------
+# crashed rules
+# ---------------------------------------------------------------------------
+
+def _break_dimension_verdicts(monkeypatch):
+    """Make every RACE rule crash: they share one per-loop analysis."""
+    from repro.lint.races import LoopRaceAnalysis
+
+    def boom(self, *args):
+        raise RuntimeError("injected dimension-verdict failure")
+
+    monkeypatch.setattr(LoopRaceAnalysis, "_dim_verdict", boom)
+
+
+class TestRuleFailures:
+    def _seeded_spec77(self):
+        program, assertions = seeded_program("spec77")
+        return lint_program(program, assertions,
+                            source=seeded_source("spec77"))
+
+    def test_crash_is_reported_with_the_findings(self, monkeypatch):
+        healthy = self._seeded_spec77()
+        assert healthy.rule_failures == []
+        assert "RACE001" in {d.rule for d in healthy}
+        _break_dimension_verdicts(monkeypatch)
+        broken = self._seeded_spec77()
+        assert "RACE001" not in {d.rule for d in broken}
+        assert broken.rule_failures
+        for rule, _, err in broken.rule_failures:
+            assert rule.startswith("RACE")
+            assert err == "RuntimeError: injected dimension-verdict failure"
+
+    def test_cli_prints_crash_and_fails(self, monkeypatch, capsys):
+        _break_dimension_verdicts(monkeypatch)
+        rc = lint_main(["spec77", "--mode", "seeded", "--format", "json"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "spec77/seeded: RACE001: RuntimeError: injected" in err
+
+    def test_crash_never_becomes_a_baseline(self, monkeypatch, tmp_path,
+                                            capsys):
+        _break_dimension_verdicts(monkeypatch)
+        assert lint_main(["spec77", "--mode", "seeded",
+                          "--write-golden", str(tmp_path)]) == 1
+        assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
